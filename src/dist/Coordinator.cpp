@@ -201,6 +201,12 @@ bool Coordinator::sendBatch(WorkerState &W, uint32_t ProblemId,
   BM.Cubes = AP.BatchCubes[AP.indexOf(BatchId)];
   if (!W.L->send(encodeMessage(BM)))
     return false;
+  // An idle worker had nothing to report, so its silence so far says
+  // nothing about its health: the timeout clock starts with this grant.
+  // Otherwise a worker idle past WorkerTimeoutMs is evicted by the next
+  // sweep after it receives work, before it can possibly answer.
+  if (W.Outstanding.empty())
+    W.LastActivity = Clock::now();
   W.Outstanding.insert({ProblemId, BatchId});
   return true;
 }

@@ -174,12 +174,6 @@ PreparedProblem veriqec::engine::prepareCubeProblem(const CubeProblem &P,
   Out.Config.ConflictBudget = O.ConflictBudget;
   Out.Config.RandomSeed = O.RandomSeed;
   Out.Config.LogProofs = O.LogProofs;
-  // Auto resolves to OFF for cube workloads: measured on surface9 t=4,
-  // chrono inflates conflicts ~18% here — cube prefixes are short and a
-  // full backjump below the prefix lets the learnt clause assert early,
-  // which beats keeping the prefix trail alive. (Contrast the distance
-  // search, whose weight-bound prefixes are long: Auto is On there.)
-  Out.Config.Chrono = O.Chrono == smt::ChronoMode::On;
   if (Out.Encoded->TriviallyUnsat)
     return Out; // refuted during preprocessing: no cubes, no solver
   std::vector<Var> SplitVars;

@@ -160,7 +160,6 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
     // bound-independent).
     if (Cfg.HardenBudget)
       Problem.assertWeightBound(*Reused, Cfg.BudgetBound);
-    Reused->setChrono(Cfg.Chrono);
     Reused->setAbortFlag(&Cancel);
     if (Cfg.LogProofs)
       // Proof mode forgoes cross-slot lemma exchange: a pool-imported

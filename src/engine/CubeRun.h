@@ -45,10 +45,6 @@ struct CubeRunConfig {
   uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
   uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
-  /// Chronological backtracking in every slot solver (the resolved form
-  /// of smt::ChronoMode; the cube workload's Auto default is on — long
-  /// assumption prefixes are exactly what it protects).
-  bool Chrono = false;
   /// Attach a proof::SlotProofLog to every slot solver and record a
   /// conclusion (q/c) per discharged cube. Disables the cross-slot
   /// learnt-clause pool: an imported lemma is justified by another

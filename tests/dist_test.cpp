@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 using namespace veriqec;
@@ -142,9 +143,9 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   R.Stats.BinPropagations = 12345678901234ull;
   R.Stats.LongPropagations = 98765432109876ull;
   R.Stats.XorEliminations = 5;
-  R.Stats.ChronoBacktracks = 21;
-  R.Stats.OutOfOrderAssignments = 404;
-  R.Stats.TrailSavedLits = 777;
+  R.Stats.ArenaBytes = 21;
+  R.Stats.WastedBytes = 404;
+  R.Stats.Compactions = 777;
   R.Solved = 41;
   R.PrunedGf2 = 4;
   R.PrunedCore = 2;
@@ -162,9 +163,9 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   EXPECT_EQ(D->Stats.BinPropagations, 12345678901234ull);
   EXPECT_EQ(D->Stats.LongPropagations, 98765432109876ull);
   EXPECT_EQ(D->Stats.XorEliminations, 5u);
-  EXPECT_EQ(D->Stats.ChronoBacktracks, 21u);
-  EXPECT_EQ(D->Stats.OutOfOrderAssignments, 404u);
-  EXPECT_EQ(D->Stats.TrailSavedLits, 777u);
+  EXPECT_EQ(D->Stats.ArenaBytes, 21u);
+  EXPECT_EQ(D->Stats.WastedBytes, 404u);
+  EXPECT_EQ(D->Stats.Compactions, 777u);
   EXPECT_EQ(D->Solved, 41u);
   EXPECT_EQ(D->PrunedGf2, 4u);
   EXPECT_EQ(D->PrunedCore, 2u);
@@ -215,7 +216,9 @@ TEST(DistCodec, RejectsTruncatedFrames) {
     EXPECT_FALSE(decodeMessage({Frame.data(), Len}, M))
         << "prefix of length " << Len << " decoded";
   }
-  // Ditto for a sampled set of prefixes of a whole problem frame.
+  // Ditto for every prefix of a whole problem frame: a cut can land in
+  // any field, and a count read after an earlier failure must not size
+  // an allocation.
   StabilizerCode Steane = makeSteaneCode();
   Scenario S = makeMemoryScenario(Steane, PauliKind::Y, LogicalBasis::Z, 1);
   smt::BoolContext Ctx;
@@ -223,9 +226,10 @@ TEST(DistCodec, RejectsTruncatedFrames) {
   ASSERT_TRUE(Vc.Ok);
   smt::VerificationProblem P(Ctx, Vc.NegatedVc, {});
   std::vector<uint8_t> PF = problemFrame(P);
-  for (size_t Len = 0; Len < PF.size(); Len += 97) {
+  for (size_t Len = 0; Len != PF.size(); ++Len) {
     Message M;
-    EXPECT_FALSE(decodeMessage({PF.data(), Len}, M));
+    EXPECT_FALSE(decodeMessage({PF.data(), Len}, M))
+        << "problem prefix of length " << Len << " decoded";
   }
   // Trailing garbage is rejected too.
   Frame.push_back(0);
@@ -445,6 +449,37 @@ TEST(DistLoopback, HeartbeatingGrinderOutlivesTheSilenceTimeout) {
   EXPECT_EQ(Coord.stats().WorkersDropped, 0u);
   EXPECT_EQ(Coord.stats().BatchesRequeued, 0u);
   EXPECT_GT(Coord.stats().HeartbeatsReceived, 0u);
+  Coord.shutdownWorkers();
+  for (std::thread &T : Threads)
+    T.join();
+}
+
+TEST(DistLoopback, WorkerIdlePastTheTimeoutSurvivesItsFirstGrant) {
+  CoordinatorOptions CO;
+  CO.WorkerTimeoutMs = 600;
+  Coordinator Coord(CO);
+  // The fleet's only worker idles for longer than the silence timeout
+  // before any work exists, then holds its first batch for a fraction
+  // of the timeout. Idle silence is not a symptom: the timeout clock
+  // must start at the grant, so the worker is never dropped.
+  WorkerOptions WO;
+  WO.GrindFirstBatchMs = 100;
+  std::vector<std::thread> Threads =
+      spawnLoopbackWorkers(Coord, std::vector<WorkerOptions>{WO});
+  ASSERT_TRUE(Coord.waitForWorkers(1, 10000));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(CO.WorkerTimeoutMs + 300));
+
+  StabilizerCode Steane = makeSteaneCode();
+  Scenario S = makeMemoryScenario(Steane, PauliKind::Y, LogicalBasis::Z, 1);
+  VerifyOptions VO;
+  VO.Parallel = true;
+  engine::VerificationEngine Engine(1);
+  std::vector<VerificationResult> R = Engine.verifyAll({&S, 1}, VO, Coord);
+  EXPECT_TRUE(R[0].Verified);
+  EXPECT_FALSE(R[0].Aborted);
+  EXPECT_EQ(Coord.stats().WorkersDropped, 0u);
+  EXPECT_EQ(Coord.stats().BatchesRequeued, 0u);
   Coord.shutdownWorkers();
   for (std::thread &T : Threads)
     T.join();

@@ -67,7 +67,11 @@ TEST(ProofEmission, ParallelRunEmitsCheckingProof) {
   ASSERT_FALSE(R.Proof.empty());
   CheckResult CR = checkProof(R.Proof);
   EXPECT_TRUE(CR.Ok) << CR.Error;
-  EXPECT_TRUE(CR.GlobalUnsat);
+  // Whether one slot refutes the whole problem (an empty-core, global
+  // conclusion) or the slots conclude the cubes one by one depends on
+  // the thread schedule; either way the certificate must cover them all.
+  EXPECT_TRUE(CR.GlobalUnsat || CR.Conclusions == R.NumCubes)
+      << "concluded " << CR.Conclusions << " of " << R.NumCubes << " cubes";
 }
 
 TEST(ProofEmission, DistanceSearchEmitsCheckingProof) {

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 using namespace veriqec;
 using namespace veriqec::sat;
 
@@ -37,6 +40,29 @@ bool bruteForceSat(size_t NumVars,
       return true;
   }
   return false;
+}
+
+/// Pigeonhole PHP(Pigeons, Holes): UNSAT when Pigeons > Holes, and hard
+/// enough for CDCL to restart and reduce — the workload the arena
+/// battery needs.
+std::vector<std::vector<Lit>> pigeonholeClauses(size_t Pigeons, size_t Holes,
+                                                size_t &NumVars) {
+  NumVars = Pigeons * Holes;
+  auto VarOf = [Holes](size_t P, size_t H) {
+    return static_cast<Var>(P * Holes + H);
+  };
+  std::vector<std::vector<Lit>> Clauses;
+  for (size_t P = 0; P != Pigeons; ++P) {
+    std::vector<Lit> C;
+    for (size_t H = 0; H != Holes; ++H)
+      C.push_back(mkLit(VarOf(P, H)));
+    Clauses.push_back(std::move(C));
+  }
+  for (size_t H = 0; H != Holes; ++H)
+    for (size_t P = 0; P != Pigeons; ++P)
+      for (size_t Q = P + 1; Q != Pigeons; ++Q)
+        Clauses.push_back({~mkLit(VarOf(P, H)), ~mkLit(VarOf(Q, H))});
+  return Clauses;
 }
 
 } // namespace
@@ -212,48 +238,91 @@ TEST(Solver, ReuseAcrossAssumptionSetsStaysSound) {
   // Regression test: a learnt clause that backjumps below the assumption
   // prefix must not be reported as UNSAT-under-assumptions, and solver
   // state carried across solve() calls (learnt clauses, saved phases,
-  // level-0 units) must never flip a verdict. A reused solver is checked
-  // against a fresh one on every assumption cube of many random formulas.
+  // level-0 units, the kept assumption-prefix trail) must never flip a
+  // verdict. One reused solver walks every cube of a formula in order
+  // and is checked against a fresh solver on each cube: many random
+  // formulas, plus the cube engine's reuse pattern on pigeonhole —
+  // every hole pair of the first two pigeons of the unsatisfiable
+  // PHP(7,6) (dense in prefix-crossing backjumps), and every hole of
+  // the first pigeon of the satisfiable PHP(6,6).
+  struct ReuseCase {
+    std::string Name;
+    size_t NumVars = 0;
+    std::vector<std::vector<Lit>> Clauses;
+    std::vector<std::vector<Lit>> Cubes;
+  };
+  std::vector<ReuseCase> Cases;
   Rng R(2025);
   for (int Trial = 0; Trial != 20; ++Trial) {
-    const size_t NumVars = 14;
-    std::vector<std::vector<Lit>> Clauses;
-    for (size_t C = 0; C != 50; ++C) {
+    ReuseCase C{"random trial " + std::to_string(Trial), 14, {}, {}};
+    for (size_t I = 0; I != 50; ++I) {
       std::vector<Lit> Clause;
       for (size_t L = 0; L != 3; ++L)
         Clause.push_back(
-            Lit(static_cast<Var>(R.nextBelow(NumVars)), R.nextBool()));
-      Clauses.push_back(Clause);
+            Lit(static_cast<Var>(R.nextBelow(C.NumVars)), R.nextBool()));
+      C.Clauses.push_back(Clause);
     }
-    Solver Reused;
-    for (size_t V = 0; V != NumVars; ++V)
-      Reused.newVar();
-    bool Ok = true;
-    for (const auto &C : Clauses)
-      Ok = Reused.addClause(C) && Ok;
-    if (!Ok)
-      continue;
-
     for (int Cube = 0; Cube != 16; ++Cube) {
       std::vector<Lit> Assumptions;
       for (int B = 0; B != 4; ++B)
-        Assumptions.push_back(
-            Lit(static_cast<Var>(B), (Cube >> B) & 1));
+        Assumptions.push_back(Lit(static_cast<Var>(B), (Cube >> B) & 1));
+      C.Cubes.push_back(Assumptions);
+    }
+    Cases.push_back(std::move(C));
+  }
+  {
+    ReuseCase C{"php(7,6)", 0, {}, {}};
+    C.Clauses = pigeonholeClauses(7, 6, C.NumVars);
+    for (size_t H0 = 0; H0 != 6; ++H0)
+      for (size_t H1 = 0; H1 != 6; ++H1)
+        C.Cubes.push_back({mkLit(static_cast<Var>(H0)),
+                           mkLit(static_cast<Var>(6 + H1))});
+    Cases.push_back(std::move(C));
+  }
+  {
+    ReuseCase C{"php(6,6)", 0, {}, {}};
+    C.Clauses = pigeonholeClauses(6, 6, C.NumVars);
+    for (size_t H0 = 0; H0 != 6; ++H0)
+      C.Cubes.push_back({mkLit(static_cast<Var>(H0))});
+    Cases.push_back(std::move(C));
+  }
+
+  for (const ReuseCase &C : Cases) {
+    Solver Reused;
+    for (size_t V = 0; V != C.NumVars; ++V)
+      Reused.newVar();
+    bool Ok = true;
+    for (const auto &Clause : C.Clauses)
+      Ok = Reused.addClause(Clause) && Ok;
+    if (!Ok)
+      continue;
+
+    for (size_t I = 0; I != C.Cubes.size(); ++I) {
+      const std::vector<Lit> &Cube = C.Cubes[I];
       Solver Fresh;
-      for (size_t V = 0; V != NumVars; ++V)
+      for (size_t V = 0; V != C.NumVars; ++V)
         Fresh.newVar();
-      for (const auto &C : Clauses)
-        Fresh.addClause(C);
-      SolveResult A = Reused.solve(Assumptions);
-      SolveResult B = Fresh.solve(Assumptions);
-      ASSERT_EQ(A, B) << "trial " << Trial << " cube " << Cube;
-      if (A == SolveResult::Sat)
-        for (const auto &C : Clauses) {
-          bool SatC = false;
-          for (Lit L : C)
-            SatC |= Reused.modelValue(L.var()) != L.negated();
-          EXPECT_TRUE(SatC) << "trial " << Trial << " cube " << Cube;
-        }
+      for (const auto &Clause : C.Clauses)
+        Fresh.addClause(Clause);
+      SolveResult A = Reused.solve(Cube);
+      SolveResult B = Fresh.solve(Cube);
+      ASSERT_EQ(A, B) << C.Name << " cube " << I;
+      if (A == SolveResult::Unsat) {
+        // The failed-assumption core must be a subset of the cube.
+        for (Lit L : Reused.conflictCore())
+          EXPECT_NE(std::find(Cube.begin(), Cube.end(), L), Cube.end())
+              << C.Name << " cube " << I;
+        continue;
+      }
+      for (Lit L : Cube)
+        EXPECT_NE(Reused.modelValue(L.var()), L.negated())
+            << C.Name << " cube " << I << ": model breaks an assumption";
+      for (const auto &Clause : C.Clauses) {
+        bool SatC = false;
+        for (Lit L : Clause)
+          SatC |= Reused.modelValue(L.var()) != L.negated();
+        EXPECT_TRUE(SatC) << C.Name << " cube " << I;
+      }
     }
   }
 }
@@ -263,33 +332,6 @@ TEST(Solver, ReuseAcrossAssumptionSetsStaysSound) {
 #include "proof/ProofCheck.h"
 #include "proof/ProofLog.h"
 #include "smt/CubeSolver.h"
-
-namespace {
-
-/// Pigeonhole PHP(Pigeons, Holes): UNSAT when Pigeons > Holes, and hard
-/// enough for CDCL to restart and reduce — the workload the arena
-/// battery needs.
-std::vector<std::vector<Lit>> pigeonholeClauses(size_t Pigeons, size_t Holes,
-                                                size_t &NumVars) {
-  NumVars = Pigeons * Holes;
-  auto VarOf = [Holes](size_t P, size_t H) {
-    return static_cast<Var>(P * Holes + H);
-  };
-  std::vector<std::vector<Lit>> Clauses;
-  for (size_t P = 0; P != Pigeons; ++P) {
-    std::vector<Lit> C;
-    for (size_t H = 0; H != Holes; ++H)
-      C.push_back(mkLit(VarOf(P, H)));
-    Clauses.push_back(std::move(C));
-  }
-  for (size_t H = 0; H != Holes; ++H)
-    for (size_t P = 0; P != Pigeons; ++P)
-      for (size_t Q = P + 1; Q != Pigeons; ++Q)
-        Clauses.push_back({~mkLit(VarOf(P, H)), ~mkLit(VarOf(Q, H))});
-  return Clauses;
-}
-
-} // namespace
 
 TEST(ReduceDB, LearntDbStaysPinnedAndArenaIsCompacted) {
   // Regression test for the reduceDB accounting bug: the trigger used to
@@ -326,7 +368,10 @@ TEST(ClauseArena, RelocationPreservesVerdictsAndModelCounts) {
   // xor on/off. The forced collector relocates every live clause each
   // round (watchers, reasons, proof-id words and all), so any stale
   // ClauseRef shows up as a wrong verdict, a corrupted model, or a
-  // crash.
+  // crash. A third run counts the models cube by cube instead (all 8
+  // assignments of three named variables as assumptions, one reused
+  // solver), so the counts also hold across assumption-prefix reuse and
+  // backjumps below the prefix.
   using smt::BoolContext;
   using smt::CardinalityEncoding;
   using smt::ExprRef;
@@ -360,24 +405,36 @@ TEST(ClauseArena, RelocationPreservesVerdictsAndModelCounts) {
       smt::VerificationProblem Problem(
           Ctx, Root, smt::makeProblemOptions(Ctx, Opts));
       ASSERT_FALSE(Problem.TriviallyUnsat);
-      for (bool ForceGc : {false, true}) {
+      // (ForceGc, Cubed) per run.
+      const std::pair<bool, bool> Runs[] = {
+          {false, false}, {true, false}, {false, true}};
+      for (auto [ForceGc, Cubed] : Runs) {
         Solver S = Problem.makeSolver();
         S.setGarbageFraction(ForceGc ? 0.0 : 1e9);
         size_t Models = 0;
-        while (S.solve() == SolveResult::Sat) {
-          ++Models;
-          ASSERT_LE(Models, Expected) << "enc " << int(Enc) << " xor "
-                                      << NativeXor << " gc " << ForceGc;
-          std::vector<Lit> Block;
-          for (const auto &[Name, V] : Problem.NamedVars)
-            Block.push_back(S.modelValue(V) ? ~mkLit(V) : mkLit(V));
-          if (!S.addClause(Block))
-            break; // blocking clause empty at root: no models left
-          if (ForceGc)
-            S.forceGarbageCollect();
+        for (uint64_t Cube = 0; Cube != (Cubed ? 8 : 1); ++Cube) {
+          std::vector<Lit> Assume;
+          for (size_t I = 0; Cubed && I != 3; ++I) {
+            Var V = Problem.varOfName(Names[I]);
+            Assume.push_back((Cube >> I) & 1 ? mkLit(V) : ~mkLit(V));
+          }
+          while (S.solve(Assume) == SolveResult::Sat) {
+            ++Models;
+            ASSERT_LE(Models, Expected)
+                << "enc " << int(Enc) << " xor " << NativeXor << " gc "
+                << ForceGc << " cubed " << Cubed;
+            std::vector<Lit> Block;
+            for (const auto &[Name, V] : Problem.NamedVars)
+              Block.push_back(S.modelValue(V) ? ~mkLit(V) : mkLit(V));
+            if (!S.addClause(Block))
+              break; // blocking clause empty at root: no models left
+            if (ForceGc)
+              S.forceGarbageCollect();
+          }
         }
-        EXPECT_EQ(Models, Expected) << "enc " << int(Enc) << " xor "
-                                    << NativeXor << " gc " << ForceGc;
+        EXPECT_EQ(Models, Expected)
+            << "enc " << int(Enc) << " xor " << NativeXor << " gc "
+            << ForceGc << " cubed " << Cubed;
         if (ForceGc) {
           // The final blocking clause can close the formula at the root,
           // skipping that round's collection.
