@@ -21,37 +21,14 @@ namespace {
 // -- Shared sub-codecs -------------------------------------------------------
 
 void encodeStats(Encoder &E, const sat::SolverStats &S) {
-  E.u64(S.Decisions);
-  // WireVersion 4: the one Propagations counter became the binary/long
-  // split.
-  E.u64(S.BinPropagations);
-  E.u64(S.LongPropagations);
-  E.u64(S.Conflicts);
-  E.u64(S.LearnedClauses);
-  E.u64(S.Restarts);
-  E.u64(S.XorPropagations);
-  E.u64(S.XorConflicts);
-  E.u64(S.XorEliminations);
-  // WireVersion 3: arena telemetry.
-  E.u64(S.ArenaBytes);
-  E.u64(S.WastedBytes);
-  E.u64(S.Compactions);
+  for (const sat::SolverStats::Field &F : sat::SolverStats::Fields)
+    E.u64(S.*F.Member);
 }
 
 sat::SolverStats decodeStats(Decoder &D) {
   sat::SolverStats S;
-  S.Decisions = D.u64();
-  S.BinPropagations = D.u64();
-  S.LongPropagations = D.u64();
-  S.Conflicts = D.u64();
-  S.LearnedClauses = D.u64();
-  S.Restarts = D.u64();
-  S.XorPropagations = D.u64();
-  S.XorConflicts = D.u64();
-  S.XorEliminations = D.u64();
-  S.ArenaBytes = D.u64();
-  S.WastedBytes = D.u64();
-  S.Compactions = D.u64();
+  for (const sat::SolverStats::Field &F : sat::SolverStats::Fields)
+    S.*F.Member = D.u64();
   return S;
 }
 

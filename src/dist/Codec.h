@@ -45,7 +45,10 @@ constexpr uint32_t WireMagic = 0x43455156; // "VQEC" little-endian
 /// v4: the binary/long propagation split in SolverStats. v5: progress
 /// Heartbeat (worker -> coordinator) and Evicted (coordinator -> worker)
 /// frames. v6: three backtracking counters dropped from SolverStats and
-/// the backtrack-policy flag from CubeRunConfig.
+/// the backtrack-policy flag from CubeRunConfig. A SolverStats block is
+/// encoded as one little-endian u64 per field in SolverStats::Fields
+/// order, so adding, removing or reordering a row of that table is a
+/// wire change and needs a bump.
 constexpr uint32_t WireVersion = 6;
 /// Upper bound on one frame payload (a surface-scale problem is a few
 /// MB; anything near this is a corrupt length prefix, not data).

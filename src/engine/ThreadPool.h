@@ -34,10 +34,11 @@ public:
   void add(size_t N) { Count.fetch_add(N, std::memory_order_relaxed); }
 
   void done() {
-    if (Count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> Lock(Mutex);
+    // Decrement under the lock: otherwise wait() can see zero, return
+    // and destroy the group before the last done() has notified.
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (Count.fetch_sub(1, std::memory_order_acq_rel) == 1)
       Cv.notify_all();
-    }
   }
 
   void wait() {

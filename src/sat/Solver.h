@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -149,43 +150,51 @@ struct SolverStats {
     return BinPropagations + LongPropagations + XorPropagations;
   }
 
-  /// Aggregation and delta are needed in one place per layer (engine
-  /// slot totals, wire-format deltas, coordinator merging, distance
-  /// probes); keeping them here means a new counter cannot be summed in
-  /// one consumer and silently dropped in another.
+  /// One row per counter: its bench-out / metrics key and its member.
+  /// Every consumer that handles the counters as a set (aggregation and
+  /// delta below, the dist wire codec, --bench-out, the solver.* metrics)
+  /// loops over this table, so a new counter cannot be summed in one
+  /// consumer and silently dropped in another. The order is the wire
+  /// order of dist/Codec.h: reordering it is a wire-format change.
+  struct Field {
+    const char *Name;
+    uint64_t SolverStats::*Member;
+  };
+  static constexpr Field Fields[] = {
+      {"decisions", &SolverStats::Decisions},
+      {"bin_propagations", &SolverStats::BinPropagations},
+      {"long_propagations", &SolverStats::LongPropagations},
+      {"conflicts", &SolverStats::Conflicts},
+      {"learned", &SolverStats::LearnedClauses},
+      {"restarts", &SolverStats::Restarts},
+      {"xor_propagations", &SolverStats::XorPropagations},
+      {"xor_conflicts", &SolverStats::XorConflicts},
+      {"xor_eliminations", &SolverStats::XorEliminations},
+      {"arena_bytes", &SolverStats::ArenaBytes},
+      {"wasted_bytes", &SolverStats::WastedBytes},
+      {"compactions", &SolverStats::Compactions},
+  };
+
+  /// Field-wise sum. ArenaBytes sums per-solver peaks, which is the
+  /// documented aggregate; since each solver's peak never decreases, a
+  /// delta-then-sum over the wire reproduces it exactly.
   SolverStats &operator+=(const SolverStats &O) {
-    Decisions += O.Decisions;
-    BinPropagations += O.BinPropagations;
-    LongPropagations += O.LongPropagations;
-    Conflicts += O.Conflicts;
-    LearnedClauses += O.LearnedClauses;
-    Restarts += O.Restarts;
-    XorPropagations += O.XorPropagations;
-    XorConflicts += O.XorConflicts;
-    XorEliminations += O.XorEliminations;
-    ArenaBytes += O.ArenaBytes;
-    WastedBytes += O.WastedBytes;
-    Compactions += O.Compactions;
+    for (const Field &F : Fields)
+      this->*F.Member += O.*F.Member;
     return *this;
   }
-  /// Counter-wise delta (all counters are monotone).
+  /// Field-wise delta (every field is monotone).
   SolverStats operator-(const SolverStats &O) const {
     SolverStats D;
-    D.Decisions = Decisions - O.Decisions;
-    D.BinPropagations = BinPropagations - O.BinPropagations;
-    D.LongPropagations = LongPropagations - O.LongPropagations;
-    D.Conflicts = Conflicts - O.Conflicts;
-    D.LearnedClauses = LearnedClauses - O.LearnedClauses;
-    D.Restarts = Restarts - O.Restarts;
-    D.XorPropagations = XorPropagations - O.XorPropagations;
-    D.XorConflicts = XorConflicts - O.XorConflicts;
-    D.XorEliminations = XorEliminations - O.XorEliminations;
-    D.ArenaBytes = ArenaBytes - O.ArenaBytes;
-    D.WastedBytes = WastedBytes - O.WastedBytes;
-    D.Compactions = Compactions - O.Compactions;
+    for (const Field &F : Fields)
+      D.*F.Member = this->*F.Member - O.*F.Member;
     return D;
   }
 };
+
+static_assert(std::size(SolverStats::Fields) ==
+                  sizeof(SolverStats) / sizeof(uint64_t),
+              "every SolverStats member needs a row in SolverStats::Fields");
 
 /// CDCL SAT solver. Typical usage:
 /// \code

@@ -26,8 +26,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
+#include <utility>
 
 using namespace veriqec;
 using namespace veriqec::dist;
@@ -139,13 +142,13 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   R.BatchId = 11;
   R.Status = BatchStatus::Sat;
   R.Model = {{"e0", true}, {"e1", false}, {"m__3", true}};
-  R.Stats.Conflicts = 17;
-  R.Stats.BinPropagations = 12345678901234ull;
-  R.Stats.LongPropagations = 98765432109876ull;
-  R.Stats.XorEliminations = 5;
-  R.Stats.ArenaBytes = 21;
-  R.Stats.WastedBytes = 404;
-  R.Stats.Compactions = 777;
+  // A distinct value per stats field, every other one above 2^32, so a
+  // dropped, swapped or truncated field cannot round-trip by accident.
+  auto statValue = [](size_t I) -> uint64_t {
+    return I % 2 ? (uint64_t{I} << 36) + 98765432109ull : 17 + 101 * I;
+  };
+  for (size_t I = 0; I != std::size(sat::SolverStats::Fields); ++I)
+    R.Stats.*sat::SolverStats::Fields[I].Member = statValue(I);
   R.Solved = 41;
   R.PrunedGf2 = 4;
   R.PrunedCore = 2;
@@ -159,17 +162,53 @@ TEST(DistCodec, RoundTripsBatchResultsModelsAndCores) {
   EXPECT_EQ(D->BatchId, 11u);
   EXPECT_EQ(D->Status, BatchStatus::Sat);
   EXPECT_EQ(D->Model, R.Model);
-  EXPECT_EQ(D->Stats.Conflicts, 17u);
-  EXPECT_EQ(D->Stats.BinPropagations, 12345678901234ull);
-  EXPECT_EQ(D->Stats.LongPropagations, 98765432109876ull);
-  EXPECT_EQ(D->Stats.XorEliminations, 5u);
-  EXPECT_EQ(D->Stats.ArenaBytes, 21u);
-  EXPECT_EQ(D->Stats.WastedBytes, 404u);
-  EXPECT_EQ(D->Stats.Compactions, 777u);
+  for (size_t I = 0; I != std::size(sat::SolverStats::Fields); ++I) {
+    const sat::SolverStats::Field &F = sat::SolverStats::Fields[I];
+    EXPECT_EQ(D->Stats.*F.Member, statValue(I)) << F.Name;
+  }
   EXPECT_EQ(D->Solved, 41u);
   EXPECT_EQ(D->PrunedGf2, 4u);
   EXPECT_EQ(D->PrunedCore, 2u);
   EXPECT_EQ(D->NewCores, R.NewCores);
+}
+
+TEST(DistCodec, PinsStatsWireBytes) {
+  // The WireVersion 6 stats block, written out by hand: one
+  // little-endian u64 per field in this order. Reordering, adding or
+  // dropping a SolverStats::Fields row changes what a v6 peer reads, so
+  // it must fail here (and come with a WireVersion bump), not only skew
+  // a peer's totals.
+  using S = sat::SolverStats;
+  const std::pair<const char *, uint64_t S::*> WireOrder[] = {
+      {"decisions", &S::Decisions},
+      {"bin_propagations", &S::BinPropagations},
+      {"long_propagations", &S::LongPropagations},
+      {"conflicts", &S::Conflicts},
+      {"learned", &S::LearnedClauses},
+      {"restarts", &S::Restarts},
+      {"xor_propagations", &S::XorPropagations},
+      {"xor_conflicts", &S::XorConflicts},
+      {"xor_eliminations", &S::XorEliminations},
+      {"arena_bytes", &S::ArenaBytes},
+      {"wasted_bytes", &S::WastedBytes},
+      {"compactions", &S::Compactions},
+  };
+  ASSERT_EQ(std::size(S::Fields), std::size(WireOrder));
+  BatchResultMsg R;
+  std::vector<uint8_t> Expected;
+  for (size_t I = 0; I != std::size(WireOrder); ++I) {
+    EXPECT_STREQ(S::Fields[I].Name, WireOrder[I].first);
+    EXPECT_EQ(S::Fields[I].Member, WireOrder[I].second) << WireOrder[I].first;
+    // Eight distinct bytes per value: the byte order is visible.
+    uint64_t V = 0x0807060504030201ull + (uint64_t{I} << 4);
+    R.Stats.*WireOrder[I].second = V;
+    for (int B = 0; B != 8; ++B)
+      Expected.push_back(static_cast<uint8_t>(V >> (8 * B)));
+  }
+  std::vector<uint8_t> Frame = encodeMessage(R);
+  auto At = std::search(Frame.begin(), Frame.end(), Expected.begin(),
+                        Expected.end());
+  EXPECT_NE(At, Frame.end()) << "stats block not found in the frame";
 }
 
 TEST(DistCodec, RoundTripsHeartbeatAndEvictedFrames) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 using namespace veriqec;
@@ -481,4 +482,24 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_TRUE(CR.GlobalUnsat);
   EXPECT_GT(CR.Deletions, 0u);
+}
+
+TEST(SolverStats, SumAndDeltaCoverEveryField) {
+  // The static_assert ties the row count to the member count; a row
+  // listed twice (leaving a member out) double-counts in the sum and
+  // fails here.
+  SolverStats A, B;
+  for (size_t I = 0; I != std::size(SolverStats::Fields); ++I) {
+    const SolverStats::Field &F = SolverStats::Fields[I];
+    A.*F.Member = (uint64_t{I + 1} << 33) + 7 * I;
+    B.*F.Member = 1000 + 13 * I;
+  }
+  SolverStats Sum = A;
+  Sum += B;
+  SolverStats Back = Sum - B;
+  for (const SolverStats::Field &F : SolverStats::Fields) {
+    EXPECT_EQ(Sum.*F.Member, A.*F.Member + B.*F.Member) << F.Name;
+    EXPECT_EQ(Back.*F.Member, A.*F.Member) << F.Name;
+  }
+  EXPECT_EQ(Sum.propagations(), A.propagations() + B.propagations());
 }

@@ -36,11 +36,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iomanip>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace veriqec;
@@ -498,107 +501,107 @@ void printRecordJson(const RunRecord &R, bool Last) {
   std::printf("}%s\n", Last ? "" : ",");
 }
 
-/// Writes the machine-readable benchmark trajectory file (--bench-out):
-/// one record per scenario with wall-clock, solver, cube and
-/// encoder/preprocessor statistics, plus the engine configuration that
-/// produced them.
-bool writeBenchOut(const CliOptions &Cli, const std::vector<RunRecord> &Records,
-                   size_t Workers) {
-  std::ofstream Out(Cli.BenchOut);
+/// Streams the comma-separated `"key": value` members of one JSON object;
+/// the caller writes the braces.
+class JsonMembers {
+public:
+  explicit JsonMembers(std::ostream &Out) : Out(Out) {}
+
+  /// Starts a member; the value goes to the returned stream.
+  std::ostream &key(const char *Key) {
+    Out << (First ? "\"" : ", \"") << Key << "\": ";
+    First = false;
+    return Out;
+  }
+  /// A bool, string or number member.
+  template <typename T>
+  JsonMembers &add(const char *Key, const T &V) {
+    if constexpr (std::is_same_v<T, bool>)
+      key(Key) << (V ? "true" : "false");
+    else if constexpr (std::is_convertible_v<T, std::string>)
+      key(Key) << '"' << jsonEscape(V) << '"';
+    else
+      key(Key) << V;
+    return *this;
+  }
+  /// Every SolverStats field under its table name, plus the
+  /// propagations() total.
+  JsonMembers &stats(const sat::SolverStats &S) {
+    for (const sat::SolverStats::Field &F : sat::SolverStats::Fields)
+      add(F.Name, S.*F.Member);
+    return add("propagations", S.propagations());
+  }
+
+private:
+  std::ostream &Out;
+  bool First = true;
+};
+
+/// Writes the machine-readable benchmark trajectory file (--bench-out)
+/// of verify and distance: {"config": {...}, "results": [...],
+/// "metrics": <registry snapshot>}. Config writes the members of the
+/// config object, WriteRecord those of one result.
+template <typename RecordT>
+bool writeBenchOut(const std::string &Path,
+                   const std::function<void(JsonMembers &)> &Config,
+                   const std::vector<RecordT> &Records,
+                   void (*WriteRecord)(JsonMembers &, const RecordT &)) {
+  std::ofstream Out(Path);
   if (!Out) {
-    std::fprintf(stderr, "veriqec: cannot write %s\n", Cli.BenchOut.c_str());
+    std::fprintf(stderr, "veriqec: cannot write %s\n", Path.c_str());
     return false;
   }
-  char Buf[2048];
-  Out << "{\n  \"config\": {";
-  std::snprintf(Buf, sizeof(Buf),
-                "\"command\": \"verify\", \"jobs\": %zu, \"workers\": %zu, "
-                "\"dist\": \"%s\", "
-                "\"sequential\": %s, \"preprocess\": %s, \"xor\": %s, "
-                "\"split_threshold\": %u, \"card_enc\": \"%s\", "
-                "\"conflict_budget\": %llu, \"seed\": %llu",
-                Cli.Jobs, Workers,
-                Cli.Command == "serve" ? "serve"
-                : Cli.Dist.empty()     ? "local"
-                                       : jsonEscape(Cli.Dist).c_str(),
-                Cli.Sequential ? "true" : "false",
-                Cli.NoPreprocess ? "false" : "true",
-                // Without preprocessing there are no parity rows to keep
-                // native, so the engine is inert regardless of --xor;
-                // record what the run actually measured.
-                Cli.Xor == smt::XorMode::On && !Cli.NoPreprocess ? "true"
-                                                                 : "false",
-                Cli.SplitThreshold,
-                Cli.CardEnc == smt::CardinalityEncoding::SequentialCounter
-                    ? "seq"
-                    : "pairwise",
-                static_cast<unsigned long long>(Cli.ConflictBudget),
-                static_cast<unsigned long long>(Cli.Seed));
-  Out << Buf << "},\n  \"results\": [\n";
+  Out << std::fixed << std::setprecision(6) << "{\n  \"config\": {";
+  JsonMembers C(Out);
+  Config(C);
+  Out << "},\n  \"results\": [\n";
   for (size_t I = 0; I != Records.size(); ++I) {
-    const RunRecord &R = Records[I];
-    Out << "    {\"code\": \"" << jsonEscape(R.Code) << "\", \"scenario\": \""
-        << jsonEscape(R.Scenario) << "\", \"basis\": \"" << R.Basis
-        << "\", \"qubits\": " << R.NumQubits;
-    if (!R.Result.StructuralOk) {
-      Out << ", \"error\": \"" << jsonEscape(R.Result.Error) << "\"}";
-    } else {
-      const VerificationResult &V = R.Result;
-      std::snprintf(
-          Buf, sizeof(Buf),
-          ", \"verified\": %s, \"aborted\": %s, \"seconds\": %.6f, "
-          "\"goals\": %zu, \"cubes\": %llu, \"cubes_solved\": %llu, "
-          "\"cubes_pruned\": %llu, \"cubes_pruned_gf2\": %llu, "
-          "\"cubes_pruned_core\": %llu, \"split_threshold_used\": %u, "
-          "\"conflicts\": %llu, \"decisions\": %llu, "
-          "\"propagations\": %llu, \"bin_propagations\": %llu, "
-          "\"long_propagations\": %llu, "
-          "\"learned\": %llu, \"restarts\": %llu, "
-          "\"xor_propagations\": %llu, \"xor_conflicts\": %llu, "
-          "\"xor_eliminations\": %llu, "
-          "\"arena_bytes\": %llu, \"wasted_bytes\": %llu, "
-          "\"compactions\": %llu, "
-          "\"cnf_vars\": %zu, \"cnf_clauses\": %zu",
-          V.Verified ? "true" : "false", V.Aborted ? "true" : "false",
-          V.Seconds, V.NumGoals, static_cast<unsigned long long>(V.NumCubes),
-          static_cast<unsigned long long>(V.CubesSolved),
-          static_cast<unsigned long long>(V.CubesPruned),
-          static_cast<unsigned long long>(V.CubesPrunedGf2),
-          static_cast<unsigned long long>(V.CubesPrunedCore),
-          V.SplitThresholdUsed,
-          static_cast<unsigned long long>(V.Stats.Conflicts),
-          static_cast<unsigned long long>(V.Stats.Decisions),
-          static_cast<unsigned long long>(V.Stats.propagations()),
-          static_cast<unsigned long long>(V.Stats.BinPropagations),
-          static_cast<unsigned long long>(V.Stats.LongPropagations),
-          static_cast<unsigned long long>(V.Stats.LearnedClauses),
-          static_cast<unsigned long long>(V.Stats.Restarts),
-          static_cast<unsigned long long>(V.Stats.XorPropagations),
-          static_cast<unsigned long long>(V.Stats.XorConflicts),
-          static_cast<unsigned long long>(V.Stats.XorEliminations),
-          static_cast<unsigned long long>(V.Stats.ArenaBytes),
-          static_cast<unsigned long long>(V.Stats.WastedBytes),
-          static_cast<unsigned long long>(V.Stats.Compactions),
-          V.CnfVars, V.CnfClauses);
-      Out << Buf;
-      std::snprintf(
-          Buf, sizeof(Buf),
-          ", \"prep\": {\"linear_conjuncts\": %zu, \"linear_vars\": %zu, "
-          "\"rows_kept\": %zu, \"units_fixed\": %zu, "
-          "\"vars_eliminated\": %zu, \"equiv_aliased\": %zu, "
-          "\"residue_conjuncts\": %zu, "
-          "\"trivially_unsat\": %s}}",
-          V.Prep.LinearConjuncts, V.Prep.LinearVars, V.Prep.RowsKept,
-          V.Prep.UnitsFixed, V.Prep.VarsEliminated, V.Prep.EquivAliased,
-          V.Prep.ResidueConjuncts,
-          V.Prep.TriviallyUnsat ? "true" : "false");
-      Out << Buf;
-    }
-    Out << (I + 1 == Records.size() ? "\n" : ",\n");
+    Out << "    {";
+    JsonMembers M(Out);
+    WriteRecord(M, Records[I]);
+    Out << (I + 1 == Records.size() ? "}\n" : "},\n");
   }
   Out << "  ],\n  \"metrics\": " << obs::Registry::global().snapshotJson()
       << "\n}\n";
   return static_cast<bool>(Out);
+}
+
+/// One verify bench-out record: wall-clock, solver, cube and
+/// encoder/preprocessor statistics of a scenario.
+void writeRunRecord(JsonMembers &M, const RunRecord &R) {
+  const VerificationResult &V = R.Result;
+  M.add("code", R.Code)
+      .add("scenario", R.Scenario)
+      .add("basis", R.Basis)
+      .add("qubits", R.NumQubits);
+  if (!V.StructuralOk) {
+    M.add("error", V.Error);
+    return;
+  }
+  M.add("verified", V.Verified)
+      .add("aborted", V.Aborted)
+      .add("seconds", V.Seconds)
+      .add("goals", V.NumGoals)
+      .add("cubes", V.NumCubes)
+      .add("cubes_solved", V.CubesSolved)
+      .add("cubes_pruned", V.CubesPruned)
+      .add("cubes_pruned_gf2", V.CubesPrunedGf2)
+      .add("cubes_pruned_core", V.CubesPrunedCore)
+      .add("split_threshold_used", V.SplitThresholdUsed)
+      .stats(V.Stats)
+      .add("cnf_vars", V.CnfVars)
+      .add("cnf_clauses", V.CnfClauses);
+  std::ostream &Out = M.key("prep") << '{';
+  JsonMembers(Out)
+      .add("linear_conjuncts", V.Prep.LinearConjuncts)
+      .add("linear_vars", V.Prep.LinearVars)
+      .add("rows_kept", V.Prep.RowsKept)
+      .add("units_fixed", V.Prep.UnitsFixed)
+      .add("vars_eliminated", V.Prep.VarsEliminated)
+      .add("equiv_aliased", V.Prep.EquivAliased)
+      .add("residue_conjuncts", V.Prep.ResidueConjuncts)
+      .add("trivially_unsat", V.Prep.TriviallyUnsat);
+  Out << '}';
 }
 
 /// One distance-search record for the distance command's --bench-out.
@@ -608,66 +611,32 @@ struct DistanceRecord {
   DistanceResult Result;
 };
 
-/// Benchmark trajectory file of a distance run: per-code wall-clock,
-/// solver-call and conflict counts plus the XOR-engine statistics, with
-/// the configuration (in particular `xor` on/off) that produced them —
-/// the machine-readable half of the `--xor` A/B comparison.
-bool writeDistanceBenchOut(const CliOptions &Cli,
-                           const std::vector<DistanceRecord> &Records) {
-  std::ofstream Out(Cli.BenchOut);
-  if (!Out) {
-    std::fprintf(stderr, "veriqec: cannot write %s\n", Cli.BenchOut.c_str());
-    return false;
-  }
-  char Buf[2048];
-  Out << "{\n  \"config\": {";
-  std::snprintf(Buf, sizeof(Buf),
-                "\"command\": \"distance\", \"preprocess\": %s, \"xor\": %s, "
-                "\"conflict_budget\": %llu, \"seed\": %llu",
-                Cli.NoPreprocess ? "false" : "true",
-                // As in writeBenchOut: --no-preprocess leaves no rows
-                // for the XOR engine, so the run is effectively xor-off.
-                Cli.Xor != smt::XorMode::Off && !Cli.NoPreprocess
-                    ? "true"
-                    : "false",
-                static_cast<unsigned long long>(Cli.ConflictBudget),
-                static_cast<unsigned long long>(Cli.Seed));
-  Out << Buf << "},\n  \"results\": [\n";
-  for (size_t I = 0; I != Records.size(); ++I) {
-    const DistanceRecord &R = Records[I];
-    const DistanceResult &D = R.Result;
-    Out << "    {\"code\": \"" << jsonEscape(R.Code)
-        << "\", \"qubits\": " << R.NumQubits;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        ", \"ok\": %s, \"aborted\": %s, \"distance\": %zu, "
-        "\"seconds\": %.6f, \"solver_calls\": %llu, \"conflicts\": %llu, "
-        "\"decisions\": %llu, \"propagations\": %llu, "
-        "\"bin_propagations\": %llu, \"long_propagations\": %llu, "
-        "\"xor_propagations\": %llu, \"xor_conflicts\": %llu, "
-        "\"xor_eliminations\": %llu, \"xor_rows\": %zu, "
-        "\"arena_bytes\": %llu, \"wasted_bytes\": %llu, "
-        "\"compactions\": %llu, "
-        "\"cnf_vars\": %zu, \"cnf_clauses\": %zu}",
-        D.Ok ? "true" : "false", D.Aborted ? "true" : "false", D.Distance,
-        D.Seconds, static_cast<unsigned long long>(D.SolverCalls),
-        static_cast<unsigned long long>(D.Stats.Conflicts),
-        static_cast<unsigned long long>(D.Stats.Decisions),
-        static_cast<unsigned long long>(D.Stats.propagations()),
-        static_cast<unsigned long long>(D.Stats.BinPropagations),
-        static_cast<unsigned long long>(D.Stats.LongPropagations),
-        static_cast<unsigned long long>(D.Stats.XorPropagations),
-        static_cast<unsigned long long>(D.Stats.XorConflicts),
-        static_cast<unsigned long long>(D.Stats.XorEliminations), D.XorRows,
-        static_cast<unsigned long long>(D.Stats.ArenaBytes),
-        static_cast<unsigned long long>(D.Stats.WastedBytes),
-        static_cast<unsigned long long>(D.Stats.Compactions),
-        D.CnfVars, D.CnfClauses);
-    Out << Buf << (I + 1 == Records.size() ? "\n" : ",\n");
-  }
-  Out << "  ],\n  \"metrics\": " << obs::Registry::global().snapshotJson()
-      << "\n}\n";
-  return static_cast<bool>(Out);
+/// One distance bench-out record: per-code wall-clock, solver-call and
+/// solver statistics (XOR engine included) — with the config's `xor`
+/// flag, the machine-readable half of the `--xor` A/B comparison.
+void writeDistanceRecord(JsonMembers &M, const DistanceRecord &R) {
+  const DistanceResult &D = R.Result;
+  M.add("code", R.Code)
+      .add("qubits", R.NumQubits)
+      .add("ok", D.Ok)
+      .add("aborted", D.Aborted)
+      .add("distance", D.Distance)
+      .add("seconds", D.Seconds)
+      .add("solver_calls", D.SolverCalls)
+      .stats(D.Stats)
+      .add("xor_rows", D.XorRows)
+      .add("cnf_vars", D.CnfVars)
+      .add("cnf_clauses", D.CnfClauses);
+}
+
+/// Publishes end-of-run solver totals into the metrics registry: one
+/// solver.<name> counter per SolverStats field, plus
+/// solver.propagations.
+void publishSolverStats(const sat::SolverStats &Total) {
+  obs::Registry &Reg = obs::Registry::global();
+  for (const sat::SolverStats::Field &F : sat::SolverStats::Fields)
+    Reg.counter(std::string("solver.") + F.Name).set(Total.*F.Member);
+  Reg.counter("solver.propagations").set(Total.propagations());
 }
 
 // -- Commands ----------------------------------------------------------------
@@ -810,11 +779,7 @@ int runVerify(const CliOptions &Cli) {
     AnyAborted |= R.Result.StructuralOk && R.Result.Aborted;
     AnyFailed |= R.Result.StructuralOk && !R.Result.Verified &&
                  !R.Result.Aborted;
-    Total.Conflicts += R.Result.Stats.Conflicts;
-    Total.Decisions += R.Result.Stats.Decisions;
-    Total.BinPropagations += R.Result.Stats.BinPropagations;
-    Total.LongPropagations += R.Result.Stats.LongPropagations;
-    Total.XorPropagations += R.Result.Stats.XorPropagations;
+    Total += R.Result.Stats;
     TotalSeconds += R.Result.Seconds;
   }
 
@@ -824,9 +789,7 @@ int runVerify(const CliOptions &Cli) {
   // histograms.
   if (obs::metricsEnabled()) {
     obs::Registry &Reg = obs::Registry::global();
-    Reg.counter("solver.conflicts").set(Total.Conflicts);
-    Reg.counter("solver.decisions").set(Total.Decisions);
-    Reg.counter("solver.propagations").set(Total.propagations());
+    publishSolverStats(Total);
     uint64_t Cubes = 0, Solved = 0, Pruned = 0;
     for (const RunRecord &R : Records) {
       Cubes += R.Result.NumCubes;
@@ -877,7 +840,26 @@ int runVerify(const CliOptions &Cli) {
                   static_cast<unsigned long long>(DS.HeartbeatsReceived));
     }
   }
-  if (!Cli.BenchOut.empty() && !writeBenchOut(Cli, Records, Workers))
+  auto Config = [&](JsonMembers &C) {
+    bool SeqCounter =
+        Cli.CardEnc == smt::CardinalityEncoding::SequentialCounter;
+    C.add("command", "verify")
+        .add("jobs", Cli.Jobs)
+        .add("workers", Workers)
+        .add("dist", Cli.Dist.empty() ? "local" : Cli.Dist)
+        .add("sequential", Cli.Sequential)
+        .add("preprocess", !Cli.NoPreprocess)
+        // Without preprocessing there are no parity rows to keep native,
+        // so the engine is inert regardless of --xor; record what the run
+        // actually measured.
+        .add("xor", Cli.Xor == smt::XorMode::On && !Cli.NoPreprocess)
+        .add("split_threshold", Cli.SplitThreshold)
+        .add("card_enc", SeqCounter ? "seq" : "pairwise")
+        .add("conflict_budget", Cli.ConflictBudget)
+        .add("seed", Cli.Seed);
+  };
+  if (!Cli.BenchOut.empty() &&
+      !writeBenchOut(Cli.BenchOut, Config, Records, writeRunRecord))
     return 2;
 
   if (Cli.CheckProofs || !Cli.ProofDir.empty()) {
@@ -997,7 +979,23 @@ int runDistance(const CliOptions &Cli) {
   }
   if (Cli.Json)
     std::printf("\n]}\n");
-  if (!Cli.BenchOut.empty() && !writeDistanceBenchOut(Cli, Records))
+  if (obs::metricsEnabled()) {
+    sat::SolverStats Total;
+    for (const DistanceRecord &R : Records)
+      Total += R.Result.Stats;
+    publishSolverStats(Total);
+  }
+  auto Config = [&](JsonMembers &C) {
+    C.add("command", "distance")
+        .add("preprocess", !Cli.NoPreprocess)
+        // As for verify: --no-preprocess leaves no rows for the XOR
+        // engine, so the run is effectively xor-off.
+        .add("xor", Cli.Xor != smt::XorMode::Off && !Cli.NoPreprocess)
+        .add("conflict_budget", Cli.ConflictBudget)
+        .add("seed", Cli.Seed);
+  };
+  if (!Cli.BenchOut.empty() &&
+      !writeBenchOut(Cli.BenchOut, Config, Records, writeDistanceRecord))
     return 2;
   if (Cli.CheckProofs && !Cli.Json && !AnyProofFailed)
     std::printf("proofs: all distance certificates check\n");
@@ -1310,7 +1308,8 @@ int main(int Argc, char **Argv) {
     // Same policy: a CI proof gate that silently never checked anything
     // would be worse than an error.
     std::fprintf(stderr, "veriqec: --check-proofs/--proof-dir are only "
-                         "supported by the verify and distance commands\n");
+                         "supported by the verify, distance and serve "
+                         "commands\n");
     return 2;
   }
 
