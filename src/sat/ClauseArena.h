@@ -122,8 +122,11 @@ public:
               (Learned ? 1u : 0u); // size << SizeShift | LearnedBit
     Head[1] = 0;
     Head[2] = 0;
-    std::memcpy(Head + Clause::HeaderWords, Lits.data(),
-                Lits.size() * sizeof(Lit));
+    // An empty clause's span may have a null data(), which memcpy must
+    // not be handed even for zero bytes.
+    if (!Lits.empty())
+      std::memcpy(Head + Clause::HeaderWords, Lits.data(),
+                  Lits.size() * sizeof(Lit));
     return Ref;
   }
 

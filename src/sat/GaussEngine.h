@@ -67,7 +67,7 @@ public:
   int32_t propagate(Solver &S);
 
   /// The solver trail shrank to \p NewTrailSize entries; rolls the
-  /// counter mirror back. The echelon basis itself never changes with
+  /// counter mirror back. The sparse basis itself never changes with
   /// the trail, so nothing else needs undoing.
   void onBacktrack(size_t NewTrailSize);
 

@@ -11,7 +11,7 @@
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 
 using namespace veriqec;
 using namespace veriqec::sat;
@@ -58,6 +58,8 @@ Var Solver::newVar() {
   Seen.push_back(0);
   Watches.emplace_back();
   Watches.emplace_back();
+  WatchUnsorted.push_back(0);
+  WatchUnsorted.push_back(0);
   HeapPos.push_back(-1);
   heapInsert(V);
   return V;
@@ -191,16 +193,20 @@ void Solver::attachClause(ClauseRef Ref) {
     // propagation never touches the clause memory, which is most of the
     // watch traffic — Tseitin gate and counter encodings are dominated
     // by 2-literal clauses.
-    Watches[(~C[0]).Code].push_back({binaryMark(Ref), C[1]});
-    Watches[(~C[1]).Code].push_back({binaryMark(Ref), C[0]});
+    pushWatch((~C[0]).Code, {binaryMark(Ref), C[1]});
+    pushWatch((~C[1]).Code, {binaryMark(Ref), C[0]});
     return;
   }
-  Watches[(~C[0]).Code].push_back({Ref, C[1]});
-  Watches[(~C[1]).Code].push_back({Ref, C[0]});
+  pushWatch((~C[0]).Code, {Ref, C[1]});
+  pushWatch((~C[1]).Code, {Ref, C[0]});
 }
 
 void Solver::enqueue(Lit L, ClauseRef From) {
   assert(valueOf(L) == LBool::Undef && "enqueueing an assigned literal");
+  // analyze(), litRedundant() and reduceDB's locked() test all read the
+  // implied literal of a reason from C[0].
+  assert((From == NoReason || Arena[From][0] == L) &&
+         "reason clause does not imply its literal at C[0]");
   Assigns[L.var()] = lboolOf(!L.negated());
   Reason[L.var()] = From;
   Level[L.var()] = decisionLevel();
@@ -258,7 +264,7 @@ ClauseRef Solver::propagate() {
       for (size_t K = 2; K != C.size(); ++K) {
         if (valueOf(C[K]) != LBool::False) {
           std::swap(C[1], C[K]);
-          Watches[(~C[1]).Code].push_back({W.Ref, C[0]});
+          pushWatch((~C[1]).Code, {W.Ref, C[0]});
           FoundWatch = true;
           break;
         }
@@ -492,10 +498,6 @@ void Solver::reduceDB() {
   // Collect learned, non-reason clauses and drop the less retained half.
   // The caller has already checked the live-learnt trigger (locked
   // clauses included — see NumLiveLearnts).
-  std::unordered_set<ClauseRef> Locked;
-  for (Lit L : Trail)
-    if (Reason[L.var()] != NoReason)
-      Locked.insert(Reason[L.var()]);
 
   // Retention order: primarily by how many unsolved cubes a clause's
   // variables participate in (when the cube driver installed a view),
@@ -517,7 +519,7 @@ void Solver::reduceDB() {
   Candidates.reserve(LearntClauses.size());
   for (ClauseRef R : LearntClauses) {
     Clause C = Arena[R];
-    if (C.deleted() || Locked.count(R))
+    if (C.deleted() || locked(R))
       continue;
     uint32_t Score = 0;
     if (View)
@@ -528,14 +530,21 @@ void Solver::reduceDB() {
   }
 
   size_t NumVictims = Candidates.size() / 2;
+  Span.arg("victims", NumVictims);
   if (NumVictims == 0)
     return;
   std::sort(Candidates.begin(), Candidates.end());
+  // A victim's watchers (if it is watched at all: XOR reasons never are)
+  // live only in the lists of ~C[0] and ~C[1].
+  std::vector<int32_t> Lists;
+  Lists.reserve(2 * NumVictims);
   for (size_t I = 0; I != NumVictims; ++I) {
     ClauseRef Victim = Candidates[I].Ref;
     Clause C = Arena[Victim];
     if (ProofSink && C.proofId() > 0)
       ProofSink->onRetire(static_cast<uint64_t>(C.proofId()));
+    Lists.push_back((~C[0]).Code);
+    Lists.push_back((~C[1]).Code);
     Arena.markDeleted(Victim);
     --NumLiveLearnts;
   }
@@ -546,34 +555,91 @@ void Solver::reduceDB() {
                      [&](ClauseRef R) { return Arena[R].deleted(); }),
       LearntClauses.end());
 
-  // ... and unlink only them from the watch lists: one erase-remove
-  // sweep, keeping every survivor's watch positions and blockers (the
-  // pre-arena full rebuild reset all watches to the first two literals
-  // and re-propagated the whole trail from scratch on every reduction).
-  for (auto &WL : Watches) {
-    size_t Keep = 0;
-    for (Watcher W : WL) {
-      ClauseRef R = isBinaryMark(W.Ref) ? fromBinaryMark(W.Ref) : W.Ref;
-      if (!Arena[R].deleted())
-        WL[Keep++] = W;
-    }
-    WL.resize(Keep);
-    // Re-normalize the surviving watcher order: binary watchers first
-    // (they resolve without touching clause memory), then arena-offset
-    // order, so problem clauses and older lemmas are tried as reasons
-    // before younger ones. The full rebuild this sweep replaces got
-    // that ordering for free by re-attaching in clause order; dropping
-    // it silently leaves watchers in drifted insertion order, which
-    // costs ~30% extra conflicts on surface9 t=4.
-    std::stable_sort(WL.begin(), WL.end(), [](Watcher A, Watcher B) {
-      bool BinA = isBinaryMark(A.Ref), BinB = isBinaryMark(B.Ref);
-      if (BinA != BinB)
-        return BinA;
-      ClauseRef RA = BinA ? fromBinaryMark(A.Ref) : A.Ref;
-      ClauseRef RB = BinB ? fromBinaryMark(B.Ref) : B.Ref;
-      return RA < RB;
-    });
+  // ... and unlink them from their watch lists only, keeping every
+  // survivor's watch positions and blockers. Every earlier reduction
+  // unlinked its own victims, so no other list holds a deleted clause.
+  std::sort(Lists.begin(), Lists.end());
+  Lists.erase(std::unique(Lists.begin(), Lists.end()), Lists.end());
+  for (int32_t Code : Lists) {
+    std::vector<Watcher> &WL = Watches[Code];
+    WL.erase(std::remove_if(WL.begin(), WL.end(),
+                            [&](Watcher W) {
+                              return Arena[clauseOf(W)].deleted();
+                            }),
+             WL.end());
   }
+  Span.arg("lists_unlinked", Lists.size());
+
+  // Leave every list in watchBefore() order. Unlinking keeps a list's
+  // order, and only the lists pushWatch() or a relocation flagged can
+  // have left it; with unique keys, std::sort yields the one sorted
+  // order.
+  size_t Sorted = 0;
+  for (size_t Code = 0; Code != Watches.size(); ++Code)
+    if (WatchUnsorted[Code]) {
+      std::sort(Watches[Code].begin(), Watches[Code].end(), watchBefore);
+      WatchUnsorted[Code] = 0;
+      ++Sorted;
+    }
+  Span.arg("lists_sorted", Sorted);
+  afterReduceDB();
+}
+
+std::string Solver::checkWatchInvariants() const {
+  // The watch lists each clause is watched on, read off the lists.
+  std::unordered_map<ClauseRef, std::vector<int32_t>> WatchedOn;
+  for (size_t Code = 0; Code != Watches.size(); ++Code) {
+    const std::vector<Watcher> &WL = Watches[Code];
+    for (Watcher W : WL) {
+      ClauseRef R = clauseOf(W);
+      if (Arena[R].deleted())
+        return "watch list " + std::to_string(Code) +
+               " references deleted clause " + std::to_string(R);
+      WatchedOn[R].push_back(static_cast<int32_t>(Code));
+    }
+    if (!WatchUnsorted[Code] &&
+        !std::is_sorted(WL.begin(), WL.end(), watchBefore))
+      return "unflagged watch list " + std::to_string(Code) +
+             " is out of order";
+  }
+  // Problem clauses are always attached; learnt ones unless the XOR
+  // engine materialized them.
+  size_t Listed = 0;
+  auto checkWatched = [&](ClauseRef R, bool MustBeWatched) -> std::string {
+    auto It = WatchedOn.find(R);
+    if (It == WatchedOn.end())
+      return MustBeWatched ? "problem clause " + std::to_string(R) +
+                                 " is not watched"
+                           : "";
+    ++Listed;
+    Clause C = Arena[R];
+    std::vector<int32_t> Want = {(~C[0]).Code, (~C[1]).Code};
+    std::vector<int32_t> &Got = It->second;
+    std::sort(Want.begin(), Want.end());
+    std::sort(Got.begin(), Got.end());
+    return Got == Want ? "" : "clause " + std::to_string(R) +
+                                  " is not watched exactly on ~C[0], ~C[1]";
+  };
+  for (ClauseRef R : ProblemClauses)
+    if (std::string Err = checkWatched(R, true); !Err.empty())
+      return Err;
+  for (ClauseRef R : LearntClauses)
+    if (!Arena[R].deleted())
+      if (std::string Err = checkWatched(R, false); !Err.empty())
+        return Err;
+  if (Listed != WatchedOn.size())
+    return "a watched clause is in neither clause list";
+  for (Lit L : Trail) {
+    ClauseRef R = Reason[L.var()];
+    if (R == NoReason)
+      continue;
+    Clause C = Arena[R];
+    if (C[0] != L)
+      return "reason " + std::to_string(R) + " does not imply at C[0]";
+    if (C.deleted() && C.size() >= 2)
+      return "reason " + std::to_string(R) + " of a trail literal was deleted";
+  }
+  return "";
 }
 
 void Solver::checkGarbage() {
@@ -604,7 +670,10 @@ void Solver::garbageCollect() {
 
 void Solver::relocAll(ClauseArena &To) {
   // Watchers (the binary mark round-trips through the relocation).
-  for (auto &WL : Watches)
+  // Relocation renumbers offsets in first-visit order, which can break a
+  // list's watchBefore() order: flag those for the next reduction.
+  for (size_t Code = 0; Code != Watches.size(); ++Code) {
+    std::vector<Watcher> &WL = Watches[Code];
     for (Watcher &W : WL) {
       if (isBinaryMark(W.Ref)) {
         ClauseRef R = fromBinaryMark(W.Ref);
@@ -614,6 +683,9 @@ void Solver::relocAll(ClauseArena &To) {
         Arena.reloc(W.Ref, To);
       }
     }
+    if (!std::is_sorted(WL.begin(), WL.end(), watchBefore))
+      WatchUnsorted[Code] = 1;
+  }
   // Reasons of assigned variables. This keeps deleted-but-locked
   // tombstones alive (an XOR unit justification of a prefix literal,
   // say) — their literals must stay readable for conflict analysis.
@@ -821,7 +893,7 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
         backtrack(static_cast<int32_t>(
             std::min<size_t>(Assumptions.size(), TrailLim.size())));
         // Hoisted trigger: restarts below the cap skip reduceDB's
-        // O(trail + learnts) scan entirely.
+        // O(learnts) candidate scan entirely.
         if (NumLiveLearnts >= MaxLearned)
           reduceDB();
         checkGarbage();

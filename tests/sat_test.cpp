@@ -330,8 +330,10 @@ TEST(Solver, ReuseAcrossAssumptionSetsStaysSound) {
 
 // ---- Clause-arena and reduceDB battery -------------------------------------
 
+#include "obs/Trace.h"
 #include "proof/ProofCheck.h"
 #include "proof/ProofLog.h"
+#include "qec/Codes.h"
 #include "smt/CubeSolver.h"
 
 TEST(ReduceDB, LearntDbStaysPinnedAndArenaIsCompacted) {
@@ -482,6 +484,131 @@ TEST(ProofRoundTrip, CertificateSurvivesRepeatedCompaction) {
   EXPECT_TRUE(CR.Ok) << CR.Error;
   EXPECT_TRUE(CR.GlobalUnsat);
   EXPECT_GT(CR.Deletions, 0u);
+}
+
+namespace {
+
+/// Runs checkWatchInvariants() after every reduction and keeps the
+/// first violation it reports.
+class AuditingSolver : public Solver {
+public:
+  size_t Reductions = 0;
+  std::string FirstViolation;
+
+protected:
+  void afterReduceDB() override {
+    ++Reductions;
+    if (FirstViolation.empty())
+      FirstViolation = checkWatchInvariants();
+  }
+};
+
+/// The distance search's problem for \p Code: an unknown Pauli (x_q,
+/// z_q) that commutes with every generator yet anticommutes with some
+/// logical operator, with the per-qubit supports as weight budget. Pure
+/// parity plus a counter, so with native XOR the learnt database fills
+/// with never-watched XOR reason clauses.
+smt::VerificationProblem distanceProblem(const StabilizerCode &Code) {
+  smt::BoolContext Ctx;
+  std::vector<smt::ExprRef> X, Z, Support, Constraints, Logical;
+  for (size_t Q = 0; Q != Code.NumQubits; ++Q) {
+    X.push_back(Ctx.mkVar("x" + std::to_string(Q)));
+    Z.push_back(Ctx.mkVar("z" + std::to_string(Q)));
+    Support.push_back(Ctx.mkOr(X[Q], Z[Q]));
+  }
+  auto anticommutes = [&](const Pauli &G) {
+    std::vector<smt::ExprRef> Terms;
+    for (size_t Q = 0; Q != Code.NumQubits; ++Q) {
+      if (G.zBits().get(Q))
+        Terms.push_back(X[Q]);
+      if (G.xBits().get(Q))
+        Terms.push_back(Z[Q]);
+    }
+    return Ctx.mkXor(std::move(Terms));
+  };
+  for (const Pauli &G : Code.Generators)
+    Constraints.push_back(Ctx.mkNot(anticommutes(G)));
+  for (size_t J = 0; J != Code.NumLogical; ++J) {
+    Logical.push_back(anticommutes(Code.LogicalX[J]));
+    Logical.push_back(anticommutes(Code.LogicalZ[J]));
+  }
+  Constraints.push_back(Ctx.mkOr(std::move(Logical)));
+  smt::ProblemOptions PO;
+  PO.NativeXor = true;
+  PO.BudgetTerms = Support;
+  return smt::VerificationProblem(Ctx, Ctx.mkAnd(std::move(Constraints)),
+                                  PO);
+}
+
+} // namespace
+
+TEST(ReduceDB, WatchListsStayNormalizedAndVictimFree) {
+  // reduceDB unlinks victims from their own two watch lists only, sorts
+  // only the lists flagged out of order, and decides "locked" from the
+  // reason slot of C[0]. Audit the watch structure after every reduction
+  // of a search dominated by XOR reason clauses, with compaction at
+  // every restart (relocation renumbers offsets, so it flags lists) and
+  // never, with and without proof logging.
+  smt::VerificationProblem Problem = distanceProblem(makeTannerIISubstitute());
+  ASSERT_FALSE(Problem.TriviallyUnsat);
+  ASSERT_FALSE(Problem.XorRows.empty());
+  // The distance probes: existence, below the distance (UNSAT: tanner2
+  // has d = 4), at it.
+  const uint32_t Bounds[] = {
+      static_cast<uint32_t>(makeTannerIISubstitute().NumQubits), 3, 4};
+  const std::vector<SolveResult> Expected = {
+      SolveResult::Sat, SolveResult::Unsat, SolveResult::Sat};
+  // Conflicts per (compaction, proof) run. Watch lists are ordered by
+  // arena offset and compaction renumbers offsets, so compaction may
+  // steer the search; proof logging must not.
+  uint64_t Conflicts[2][2] = {};
+  for (bool Gc : {true, false}) {
+    for (bool Proof : {false, true}) {
+      AuditingSolver S;
+      Problem.loadInto(S);
+      proof::SlotProofLog Log;
+      if (Proof)
+        S.setProofSink(&Log);
+      S.setMaxLearned(32);
+      S.setGarbageFraction(Gc ? 0.0 : 1e9);
+      std::vector<SolveResult> Verdicts;
+      for (uint32_t MaxW : Bounds) {
+        std::vector<Lit> Assumptions;
+        Problem.appendWeightAssumptions(MaxW, Assumptions, 1);
+        Verdicts.push_back(S.solve(Assumptions));
+        EXPECT_EQ(S.checkWatchInvariants(), "") << "after bound " << MaxW;
+      }
+      EXPECT_EQ(Verdicts, Expected) << "gc " << Gc << " proof " << Proof;
+      EXPECT_EQ(S.FirstViolation, "") << "gc " << Gc << " proof " << Proof;
+      EXPECT_GE(S.Reductions, 10u) << "gc " << Gc << " proof " << Proof;
+      EXPECT_GT(S.stats().XorPropagations, 0u);
+      EXPECT_EQ(S.stats().Compactions > 0, Gc);
+      Conflicts[Gc][Proof] = S.stats().Conflicts;
+    }
+    EXPECT_EQ(Conflicts[Gc][0], Conflicts[Gc][1]) << "gc " << Gc;
+  }
+}
+
+TEST(ReduceDB, TraceSpanReportsVictimsAndListsTouched) {
+  // The reduce_db span says what a reduction cost was spent on: how many
+  // clauses it deleted, how many watch lists it unlinked them from, and
+  // how many flagged lists it re-sorted.
+  size_t NumVars = 0;
+  std::vector<std::vector<Lit>> Clauses = pigeonholeClauses(7, 6, NumVars);
+  Solver S;
+  for (size_t V = 0; V != NumVars; ++V)
+    S.newVar();
+  for (const auto &C : Clauses)
+    ASSERT_TRUE(S.addClause(C));
+  S.setMaxLearned(32);
+  obs::beginTrace();
+  EXPECT_EQ(S.solve(), SolveResult::Unsat);
+  obs::stopTrace();
+  std::string Json = obs::renderTraceJson();
+  EXPECT_NE(Json.find("\"name\":\"reduce_db\""), std::string::npos);
+  for (const char *Key : {"\"learnts\":", "\"victims\":",
+                          "\"lists_unlinked\":", "\"lists_sorted\":"})
+    EXPECT_NE(Json.find(Key), std::string::npos) << Key;
 }
 
 TEST(SolverStats, SumAndDeltaCoverEveryField) {
