@@ -78,6 +78,68 @@ void dischargeCube(ProblemRun &P, size_t CubeIdx) {
     P.Out.SolveSeconds = P.Clock.seconds();
 }
 
+/// Encodes and splits P.Input and, unless the preprocessor refuted it,
+/// sets up its CubeRun on \p NumSlots slots.
+void prepareRun(ProblemRun &P, size_t NumSlots) {
+  PreparedProblem Prepared = prepareCubeProblem(*P.Input, NumSlots);
+  P.Encoded = std::move(Prepared.Encoded);
+  P.Cubes = std::move(Prepared.Cubes);
+  P.Out.NumCubes = P.Cubes.size();
+  P.Out.SplitThresholdUsed = Prepared.SplitThresholdUsed;
+  if (!P.Encoded->TriviallyUnsat)
+    P.Run = std::make_unique<CubeRun>(*P.Encoded, Prepared.Config, NumSlots);
+}
+
+/// The outcome of a quiesced run: aggregated slot stats, the verdict and,
+/// for a logged UNSAT verdict, the assembled proof.
+SolveOutcome finishRun(ProblemRun &P) {
+  const smt::SolveOptions &O = P.Input->Opts;
+  SolveOutcome &Out = P.Out;
+  if (P.Run) {
+    CubeRun &R = *P.Run;
+    R.accumulateStats(Out.Stats);
+    Out.CubesSolved = R.solved();
+    Out.CubesPrunedGf2 = R.prunedGf2();
+    Out.CubesPrunedCore = R.prunedCore();
+    Out.CubesPruned = Out.CubesPrunedGf2 + Out.CubesPrunedCore;
+    if (R.satFound()) {
+      Out.Result = SolveResult::Sat;
+      Out.Model = R.model();
+    } else {
+      // A core-certified global refutation outranks sibling aborts: the
+      // cubes cancelled mid-search were redundant, not inconclusive.
+      Out.Result = R.globalUnsat()  ? SolveResult::Unsat
+                   : R.anyAborted() ? SolveResult::Aborted
+                                    : SolveResult::Unsat;
+    }
+    if (O.LogProofs && Out.Result == SolveResult::Unsat) {
+      std::vector<std::string> Streams;
+      Streams.reserve(R.numSlots());
+      for (size_t S = 0; S != R.numSlots(); ++S)
+        Streams.push_back(R.drainSlotProof(S));
+      // Under a global refutation the sibling cubes were cancelled
+      // without conclusions, so the cube count is not enforced.
+      Out.Proof = proof::assembleProof(
+          proof::buildProofHeader(*P.Encoded, !O.BudgetVars.empty(),
+                                  O.BudgetBound),
+          Streams,
+          R.globalUnsat() ? std::nullopt
+                          : std::optional<uint64_t>(Out.NumCubes));
+    }
+  } else {
+    // Trivially UNSAT during preprocessing.
+    Out.NumCubes = 0;
+    Out.CubesSolved = 0;
+    Out.Result = SolveResult::Unsat;
+    if (O.LogProofs)
+      Out.Proof = proof::buildTrivialProof(*P.Encoded);
+  }
+  Out.Prep = P.Encoded->Prep;
+  Out.CnfVars = P.Encoded->Cnf.NumVars;
+  Out.CnfClauses = P.Encoded->Cnf.Clauses.size();
+  return std::move(Out);
+}
+
 } // namespace
 
 std::vector<std::vector<Lit>>
@@ -242,16 +304,22 @@ ThreadPool &CubeEngine::pool() {
 
 std::vector<SolveOutcome>
 CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
-  // A lone unsplit problem has exactly one cube: solve it on the calling
-  // thread so purely sequential verification never spawns the pool.
+  std::vector<SolveOutcome> Outcomes;
+  Outcomes.reserve(Problems.size());
+  // A lone unsplit problem has exactly one cube: run it on a one-slot
+  // CubeRun on the calling thread, so purely sequential verification
+  // never spawns the pool. Its clock runs from before the encoding, so
+  // the reported solve time covers it.
   if (Problems.size() == 1) {
     const smt::SolveOptions &O = Problems[0].Opts;
     if (O.SplitVars.empty() || O.SplitThreshold == 0) {
-      SolveOutcome Out =
-          smt::solveExpr(*Problems[0].Ctx, Problems[0].Root, O);
-      Out.CubesSolved = Out.Result == SolveResult::Aborted ? 0 : 1;
-      std::vector<SolveOutcome> Outcomes;
-      Outcomes.push_back(std::move(Out));
+      ProblemRun Run;
+      Run.Input = &Problems[0];
+      prepareRun(Run, /*NumSlots=*/1);
+      if (Run.Run)
+        Run.Run->runCube(0, Run.Cubes.front());
+      Run.Out.SolveSeconds = Run.Clock.seconds();
+      Outcomes.push_back(finishRun(Run));
       return Outcomes;
     }
   }
@@ -273,13 +341,7 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
     ProblemRun *Run = RunPtr.get();
     Workers.submit([Run, NumWorkers, &EncodeWg] {
-      PreparedProblem P = prepareCubeProblem(*Run->Input, NumWorkers);
-      Run->Encoded = std::move(P.Encoded);
-      Run->Cubes = std::move(P.Cubes);
-      Run->Out.SplitThresholdUsed = P.SplitThresholdUsed;
-      if (!Run->Encoded->TriviallyUnsat)
-        Run->Run =
-            std::make_unique<CubeRun>(*Run->Encoded, P.Config, NumWorkers);
+      prepareRun(*Run, NumWorkers);
       EncodeWg.done();
     });
   }
@@ -302,7 +364,6 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
     ProblemRun *Run = RunPtr.get();
     size_t N = Run->Cubes.size();
-    Run->Out.NumCubes = N;
     if (Run->Run)
       // Seed the lemma-retention view with the full cube set (all of it
       // pending at dispatch); slot solvers refresh from it per cube.
@@ -358,60 +419,8 @@ CubeEngine::solveAll(std::span<const CubeProblem> Problems) {
   }
   CubeWg.wait();
 
-  // Finalize: aggregate worker stats, derive the verdict.
-  std::vector<SolveOutcome> Outcomes;
-  Outcomes.reserve(Runs.size());
-  for (std::unique_ptr<ProblemRun> &RunPtr : Runs) {
-    ProblemRun &Run = *RunPtr;
-    if (Run.Run) {
-      CubeRun &R = *Run.Run;
-      R.accumulateStats(Run.Out.Stats);
-      Run.Out.CubesSolved = R.solved();
-      Run.Out.CubesPrunedGf2 = R.prunedGf2();
-      Run.Out.CubesPrunedCore = R.prunedCore();
-      Run.Out.CubesPruned =
-          Run.Out.CubesPrunedGf2 + Run.Out.CubesPrunedCore;
-      if (R.satFound()) {
-        Run.Out.Result = SolveResult::Sat;
-        Run.Out.Model = R.model();
-      } else {
-        // A core-certified global refutation outranks sibling aborts:
-        // the cubes cancelled mid-search were redundant, not
-        // inconclusive.
-        Run.Out.Result = R.globalUnsat()  ? SolveResult::Unsat
-                         : R.anyAborted() ? SolveResult::Aborted
-                                          : SolveResult::Unsat;
-      }
-      if (Run.Input->Opts.LogProofs &&
-          Run.Out.Result == SolveResult::Unsat) {
-        std::vector<std::string> Streams;
-        Streams.reserve(R.numSlots());
-        for (size_t S = 0; S != R.numSlots(); ++S)
-          Streams.push_back(R.drainSlotProof(S));
-        // Under a global refutation the sibling cubes were cancelled
-        // without conclusions, so the cube count is not enforced.
-        Run.Out.Proof = proof::assembleProof(
-            proof::buildProofHeader(*Run.Encoded,
-                                    !Run.Input->Opts.BudgetVars.empty(),
-                                    Run.Input->Opts.BudgetBound),
-            Streams,
-            R.globalUnsat()
-                ? std::nullopt
-                : std::optional<uint64_t>(Run.Out.NumCubes));
-      }
-    } else {
-      // Trivially UNSAT during preprocessing.
-      Run.Out.NumCubes = 0;
-      Run.Out.CubesSolved = 0;
-      Run.Out.Result = SolveResult::Unsat;
-      if (Run.Input->Opts.LogProofs)
-        Run.Out.Proof = proof::buildTrivialProof(*Run.Encoded);
-    }
-    Run.Out.Prep = Run.Encoded->Prep;
-    Run.Out.CnfVars = Run.Encoded->Cnf.NumVars;
-    Run.Out.CnfClauses = Run.Encoded->Cnf.Clauses.size();
-    Outcomes.push_back(std::move(Run.Out));
-  }
+  for (std::unique_ptr<ProblemRun> &RunPtr : Runs)
+    Outcomes.push_back(finishRun(*RunPtr));
   return Outcomes;
 }
 
@@ -427,9 +436,9 @@ CubeEngine &CubeEngine::shared() {
 // pool gets a private engine (the deterministic-concurrency tests sweep
 // 1/2/4/8 threads this way).
 
-smt::SolveOutcome veriqec::smt::solveExprParallel(const BoolContext &Ctx,
-                                                  ExprRef Root,
-                                                  const SolveOptions &Opts) {
+smt::SolveOutcome veriqec::smt::solveExpr(const BoolContext &Ctx,
+                                          ExprRef Root,
+                                          const SolveOptions &Opts) {
   if (Opts.NumThreads == 0 ||
       Opts.NumThreads == CubeEngine::shared().numWorkers())
     return CubeEngine::shared().solve(Ctx, Root, Opts);

@@ -135,7 +135,7 @@ public:
   solveAll(std::span<const CubeProblem> Problems) override;
 
   /// Process-wide engine sized to the hardware, created on first use.
-  /// The solveExprParallel()/verifyScenario() facades run on it whenever
+  /// The smt::solveExpr()/verifyScenario() facades run on it whenever
   /// the caller does not request a specific thread count.
   static CubeEngine &shared();
 

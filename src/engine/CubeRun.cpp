@@ -166,7 +166,8 @@ CubeRun::CubeOutcome CubeRun::runCube(size_t Slot,
       // clause is justified by another slot's derivations, so it would
       // not replay as RUP inside this slot's stream.
       Reused->setProofSink(SlotLogs[Slot].get());
-    else
+    else if (Slots.size() > 1)
+      // A lone slot would only ever skip its own entries.
       Reused->attachSharedPool(&LearntPool, static_cast<int>(Slot));
     if (Cfg.ConflictBudget)
       Reused->setConflictBudget(Cfg.ConflictBudget);

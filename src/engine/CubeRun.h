@@ -9,10 +9,12 @@
 /// discharged: per-slot reusable solvers (lazily built from the shared
 /// encoding), first-SAT cancellation, global-UNSAT detection via empty
 /// failed-assumption cores, GF(2) cube refutation and sibling-core
-/// subtree pruning, plus cross-slot learned-clause exchange. Extracted
-/// from CubeEngine so the in-process work-stealing scheduler and the
-/// distributed worker (dist/Worker.h) run the identical per-cube logic —
-/// the distributed layer additionally feeds cores in from other nodes
+/// subtree pruning, plus cross-slot learned-clause exchange. It is the
+/// only code that configures and drives a solver for the verifier: the
+/// in-process work-stealing scheduler, an unsplit (sequential) solve on a
+/// one-slot run, the local distance search and the distributed worker
+/// (dist/Worker.h) all run this identical per-cube logic — the
+/// distributed layer additionally feeds cores in from other nodes
 /// (addExternalCores) and drains locally discovered ones for broadcast
 /// (drainOutboundCores).
 ///
@@ -44,7 +46,9 @@ struct CubeRunConfig {
   bool HardenBudget = false;
   uint32_t BudgetBound = 0;
   uint64_t ConflictBudget = 0; ///< 0 = unlimited
-  uint64_t RandomSeed = 0;     ///< 0 = deterministic branching
+  /// Nonzero seeds slot S's solver with RandomSeed + S + 1, wherever the
+  /// slot runs; 0 keeps the deterministic branching.
+  uint64_t RandomSeed = 0;
   /// Attach a proof::SlotProofLog to every slot solver and record a
   /// conclusion (q/c) per discharged cube. Disables the cross-slot
   /// learnt-clause pool: an imported lemma is justified by another
@@ -83,10 +87,10 @@ public:
 
   /// Clears the per-run verdict state (cancel/SAT/global-UNSAT/abort
   /// flags and the captured model) while keeping slot solvers, learnt
-  /// clauses, stored cores and cumulative counters: the distributed
-  /// worker reuses one CubeRun across many incremental cube sets of a
-  /// persistent problem (the distance search's probes). Call only while
-  /// quiescent.
+  /// clauses, stored cores and cumulative counters: the distance search,
+  /// locally and on a distributed worker, reuses one CubeRun across many
+  /// incremental cube sets of a persistent problem (its probes). Call
+  /// only while quiescent.
   void reset() {
     Cancel.store(false, std::memory_order_relaxed);
     GlobalUnsat.store(false, std::memory_order_relaxed);
@@ -204,6 +208,7 @@ private:
 
   /// Clause exchange between the slots: lemmas learned on one slot's
   /// cubes are valid for every sibling cube and imported lazily.
+  /// Attached only when there are several slots (and no proof log).
   sat::SharedClausePool LearntPool;
 
   std::mutex ModelMutex; // guards Model on the SAT path

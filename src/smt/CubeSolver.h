@@ -1,18 +1,20 @@
-//===- smt/CubeSolver.h - Sequential & parallel solving ---------*- C++ -*-===//
+//===- smt/CubeSolver.h - The solving facade --------------------*- C++ -*-===//
 //
 // Part of the veriqec project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solving facade used by the verifier: a sequential entry point and a
-/// cube-and-conquer parallel driver reproducing the paper's
-/// parallelization (Section 7.1 / Appendix D.4): selected error variables
-/// are enumerated until the heuristic ET = 2d*N(ones) + N(bits) exceeds a
-/// threshold; each resulting cube is an independent SAT call; a SAT cube
-/// aborts the siblings and surfaces its counterexample model.
+/// The solving facade used by the verifier: one entry point, solveExpr(),
+/// reproducing the paper's discharge modes (Section 7.1 / Appendix D.4).
+/// Without split variables the VC is one monolithic SAT call; with them,
+/// selected error variables are enumerated until the heuristic
+/// ET = 2d*N(ones) + N(bits) exceeds a threshold, each resulting cube is
+/// an independent SAT call, and a SAT cube aborts the siblings and
+/// surfaces its counterexample model. Both modes run on engine::CubeRun
+/// (a monolithic call is a one-slot run of one open cube).
 ///
-/// Both drivers run on VerificationProblem, the reusable middle of the
+/// Every solve runs on VerificationProblem, the reusable middle of the
 /// pipeline: GF(2)/XOR preprocessing (smt/Preprocessor.h), then one CNF
 /// encoding shared read-only by every worker and cube, with the weight
 /// budget as an assumption-activated counter layer so different bounds
@@ -39,14 +41,14 @@ class ProblemCodec;
 
 namespace veriqec::smt {
 
-/// Outcome of a (possibly parallel) solve.
+/// Outcome of a (possibly split) solve.
 struct SolveOutcome {
   sat::SolveResult Result = sat::SolveResult::Aborted;
   /// For Sat: values of the named BoolContext variables.
   std::unordered_map<std::string, bool> Model;
-  /// Aggregate statistics (summed over workers in the parallel case).
+  /// Aggregate statistics (summed over the slot solvers).
   sat::SolverStats Stats;
-  /// Number of cubes dispatched (1 for sequential solving).
+  /// Number of cubes dispatched (1 for an unsplit solve).
   uint64_t NumCubes = 1;
   /// Cubes actually solved; < NumCubes when a SAT cube cancelled the rest.
   uint64_t CubesSolved = 1;
@@ -84,7 +86,7 @@ struct SolveOutcome {
 /// fewer conflicts on surface7 t=3) — resolves to Off.
 enum class XorMode { Auto, On, Off };
 
-/// Options shared by the sequential and parallel drivers.
+/// Options of one solve.
 struct SolveOptions {
   CardinalityEncoding CardEnc = CardinalityEncoding::SequentialCounter;
   /// GF(2)/XOR preprocessing before CNF encoding (see smt/Preprocessor.h).
@@ -113,9 +115,11 @@ struct SolveOptions {
   std::vector<std::string> BudgetVars;
   uint32_t BudgetBound = ~uint32_t{0};
 
-  // Parallel-only knobs.
-  size_t NumThreads = 0; ///< 0 = hardware concurrency
-  /// Variables to enumerate (typically the error indicators e_i).
+  /// Pool width for a split solve; 0 = the process-wide engine (sized
+  /// to the hardware). An unsplit solve runs on the calling thread.
+  size_t NumThreads = 0;
+  /// Variables to enumerate (typically the error indicators e_i); empty
+  /// disables splitting (one cube).
   std::vector<std::string> SplitVars;
   /// The d in ET = 2d*N(ones) + N(bits); usually the code distance.
   uint32_t DistanceHint = 3;
@@ -274,25 +278,22 @@ private:
   std::unordered_map<int32_t, uint32_t> BoolVarOfSat;
 };
 
-/// The one SolveOptions -> ProblemOptions translation shared by the
-/// sequential driver and the cube engine, so the two pipelines cannot
-/// desynchronize: split variables become protected, budget variables
-/// become counter terms, and — because both paths harden the bound at
-/// the root via assertWeightBound — the counters are truncated just
-/// past it.
+/// The one SolveOptions -> ProblemOptions translation (used by
+/// engine::prepareCubeProblem): split variables become protected, budget
+/// variables become counter terms, and — because every slot solver
+/// hardens the bound at the root via assertWeightBound — the counters
+/// are truncated just past it.
 ProblemOptions makeProblemOptions(const BoolContext &Ctx,
                                   const SolveOptions &Opts);
 
-/// Solves \p Root (checking satisfiability) on one thread.
+/// Checks \p Root for satisfiability: by cube-and-conquer when
+/// Opts.SplitVars is non-empty and Opts.SplitThreshold != 0, otherwise as
+/// one monolithic call on the calling thread. Facade over
+/// engine::CubeEngine (defined in engine/CubeEngine.cpp): the
+/// process-wide engine is used unless Opts.NumThreads asks for a
+/// different pool width.
 SolveOutcome solveExpr(const BoolContext &Ctx, ExprRef Root,
                        const SolveOptions &Opts = {});
-
-/// Cube-and-conquer parallel solve of \p Root. Facade over the
-/// engine::CubeEngine work-stealing scheduler (defined in
-/// engine/CubeEngine.cpp): Opts.NumThreads selects the pool size, with 0
-/// (or the shared pool's width) reusing the process-wide engine.
-SolveOutcome solveExprParallel(const BoolContext &Ctx, ExprRef Root,
-                               const SolveOptions &Opts);
 
 } // namespace veriqec::smt
 

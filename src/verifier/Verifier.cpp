@@ -12,6 +12,7 @@
 #include "verifier/Verifier.h"
 
 #include "dist/Coordinator.h"
+#include "engine/CubeRun.h"
 #include "engine/VerificationEngine.h"
 #include "proof/ProofLog.h"
 #include "support/Timer.h"
@@ -147,8 +148,6 @@ DetectionResult veriqec::verifyDetection(const StabilizerCode &Code,
   SO.ConflictBudget = Opts.ConflictBudget;
   SO.RandomSeed = Opts.RandomSeed;
   SO.LogProofs = Opts.LogProofs;
-  SolveOutcome Outcome;
-  ExprRef Root = Ctx.mkAnd(std::move(Cs));
   if (Opts.Parallel) {
     SO.NumThreads = Opts.Threads;
     for (size_t Q = 0; Q != N; ++Q)
@@ -161,10 +160,8 @@ DetectionResult veriqec::verifyDetection(const StabilizerCode &Code,
     SO.AutoSplitThreshold = Opts.SplitThreshold == 0;
     SO.SplitThreshold = Opts.SplitThreshold ? Opts.SplitThreshold : Auto;
     SO.MaxOnes = static_cast<uint32_t>(MaxWeight);
-    Outcome = solveExprParallel(Ctx, Root, SO);
-  } else {
-    Outcome = solveExpr(Ctx, Root, SO);
   }
+  SolveOutcome Outcome = solveExpr(Ctx, Ctx.mkAnd(std::move(Cs)), SO);
 
   Result.Stats = Outcome.Stats;
   Result.Detects = Outcome.Result == sat::SolveResult::Unsat;
@@ -204,51 +201,39 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
   PO.NativeXor = Opts.Xor != XorMode::Off;
   PO.BudgetTerms = D.Support;
   PO.CaptureProofData = Opts.LogProofs;
-  VerificationProblem Problem(D.Ctx, D.Ctx.mkAnd(D.Constraints), PO);
-  Result.Prep = Problem.Prep;
-  Result.CnfVars = Problem.Cnf.NumVars;
-  Result.CnfClauses = Problem.Cnf.Clauses.size();
-  Result.XorRows = Problem.XorRows.size();
-  if (Problem.TriviallyUnsat) {
+  auto Problem = std::make_shared<VerificationProblem>(
+      D.Ctx, D.Ctx.mkAnd(D.Constraints), PO);
+  Result.Prep = Problem->Prep;
+  Result.CnfVars = Problem->Cnf.NumVars;
+  Result.CnfClauses = Problem->Cnf.Clauses.size();
+  Result.XorRows = Problem->XorRows.size();
+  if (Problem->TriviallyUnsat) {
     Result.Error = "undetectable-logical system is inconsistent";
     Result.Seconds = Clock.seconds();
     return Result;
   }
 
-  // One probe = one solve under "1 <= weight <= MaxW" assumptions, on a
-  // persistent solver: locally the reused sat::Solver, remotely the
-  // fleet's slot solver behind an open problem handle (the assumptions
-  // ride inside a one-cube batch). Either way learnt clauses survive
-  // across bounds.
-  proof::SlotProofLog DistLog; // declared before Local: the solver keeps
-                               // a raw pointer to it until destruction
-  uint64_t UnsatProbes = 0;
-  std::optional<sat::Solver> Local;
-  std::shared_ptr<smt::VerificationProblem> Shipped;
+  // One probe = one cube of "1 <= weight <= MaxW" assumptions on a
+  // persistent slot solver: locally a one-slot CubeRun, remotely the
+  // fleet's slot solver behind an open problem handle. Both run
+  // CubeRun's per-cube logic, and learnt clauses survive across bounds.
+  engine::CubeRunConfig Cfg;
+  Cfg.ConflictBudget = Opts.ConflictBudget;
+  Cfg.RandomSeed = Opts.RandomSeed;
+  Cfg.LogProofs = Opts.LogProofs;
+  std::optional<engine::CubeRun> Local;
   uint32_t Handle = 0;
-  if (Remote) {
-    Shipped = std::make_shared<smt::VerificationProblem>(std::move(Problem));
-    engine::CubeRunConfig Cfg;
-    Cfg.ConflictBudget = Opts.ConflictBudget;
-    Cfg.RandomSeed = Opts.RandomSeed;
-    Cfg.LogProofs = Opts.LogProofs;
-    Handle = Remote->openProblem(Shipped, Cfg);
-  } else {
-    Local.emplace(Problem.makeSolver());
-    if (Opts.LogProofs)
-      Local->setProofSink(&DistLog);
-    if (Opts.ConflictBudget)
-      Local->setConflictBudget(Opts.ConflictBudget);
-    if (Opts.RandomSeed)
-      Local->setRandomSeed(Opts.RandomSeed);
-  }
-  const smt::VerificationProblem &Prob = Remote ? *Shipped : Problem;
+  if (Remote)
+    Handle = Remote->openProblem(Problem, Cfg);
+  else
+    Local.emplace(*Problem, Cfg, /*NumSlots=*/1);
+  uint64_t UnsatProbes = 0;
   auto probe = [&](size_t MaxW,
                    std::unordered_map<std::string, bool> &Model) {
     std::vector<sat::Lit> Assumptions;
-    Prob.appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions,
-                                 1);
-    ++Result.SolverCalls;
+    Problem->appendWeightAssumptions(static_cast<uint32_t>(MaxW), Assumptions,
+                                     1);
+    uint64_t ProbeId = Result.SolverCalls++;
     if (Remote) {
       smt::SolveOutcome O =
           Remote->solveCubes(Handle, {std::move(Assumptions)});
@@ -263,15 +248,21 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
         Model = std::move(O.Model);
       return O.Result;
     }
-    sat::SolveResult R = Local->solve(Assumptions);
-    if (R == sat::SolveResult::Unsat && Opts.LogProofs) {
-      DistLog.logConclusion(Local->conflictCore(), Assumptions,
-                            Local->conflictCoreHints());
+    // As on a worker: a decided probe latches the run's verdict flags,
+    // so each bound starts a fresh one-cube set on the same solver.
+    Local->reset();
+    Local->setPendingCubes({&Assumptions, 1});
+    switch (Local->runCube(0, Assumptions, ProbeId)) {
+    case engine::CubeRun::CubeOutcome::Sat:
+      Model = Local->model();
+      return sat::SolveResult::Sat;
+    case engine::CubeRun::CubeOutcome::Aborted:
+    case engine::CubeRun::CubeOutcome::Cancelled:
+      return sat::SolveResult::Aborted;
+    default:
       ++UnsatProbes;
+      return sat::SolveResult::Unsat;
     }
-    if (R == sat::SolveResult::Sat)
-      Prob.readModel(*Local, Model);
-    return R;
   };
 
   auto modelWeight = [&](const std::unordered_map<std::string, bool> &M) {
@@ -283,14 +274,14 @@ DistanceResult veriqec::computeDistance(const StabilizerCode &Code,
   };
   auto finish = [&](sat::SolveResult R) {
     if (!Remote) {
-      Result.Stats = Local->stats();
+      Local->accumulateStats(Result.Stats);
       if (Opts.LogProofs) {
-        // One persistent solver = one stream; every UNSAT probe's
+        // One persistent slot = one stream; every UNSAT probe's
         // assumption set is a distinct concluded cube (distinct bounds
         // select distinct counter literals).
-        const std::string Streams[] = {DistLog.drain()};
+        const std::string Streams[] = {Local->drainSlotProof(0)};
         Result.Proof = proof::assembleProof(
-            proof::buildProofHeader(Prob, /*HardenBudget=*/false, 0),
+            proof::buildProofHeader(*Problem, /*HardenBudget=*/false, 0),
             Streams, UnsatProbes);
       }
     } else {

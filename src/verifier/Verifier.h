@@ -147,7 +147,8 @@ struct DistanceResult {
   /// A logical operator attaining the minimum.
   std::optional<Pauli> Witness;
   sat::SolverStats Stats;
-  /// Incremental SAT calls the binary search issued (all on one solver).
+  /// Probes the binary search issued: one-cube runs on one persistent
+  /// slot solver (local or remote).
   uint64_t SolverCalls = 0;
   smt::PreprocessStats Prep;
   /// CNF size of the encode-once problem (XOR rows excluded when native).
@@ -166,16 +167,17 @@ struct DistanceResult {
 /// Computes the code distance by incremental binary search over the
 /// weight bound: the undetectable-logical constraint system is
 /// preprocessed and encoded ONCE, with a two-sided unary counter over the
-/// per-qubit supports; each probe activates "1 <= weight <= W" purely by
-/// assumptions, so a single solver (and its learnt clauses) serves the
-/// whole search. Contrast qec/StabilizerCode.h's estimateDistance, which
-/// re-encodes from scratch at every weight.
+/// per-qubit supports; each probe is one cube whose assumptions activate
+/// "1 <= weight <= W", run on a persistent one-slot engine::CubeRun, so a
+/// single slot solver (and its learnt clauses) serves the whole search.
+/// Contrast qec/StabilizerCode.h's estimateDistance, which re-encodes
+/// from scratch at every weight.
 ///
 /// With \p Remote set, the search runs distributed: the encoded problem
 /// ships to the fleet once (dist::Coordinator::openProblem) and every
-/// probe travels as a one-cube batch carrying the weight-bound
-/// assumption literals, so the remote slot solver keeps its learnt
-/// clauses across bounds exactly like the local loop.
+/// probe travels as a one-cube batch, discharged by the same CubeRun
+/// logic on a remote slot. Local and remote searches with the same
+/// options therefore take the same steps.
 DistanceResult computeDistance(const StabilizerCode &Code,
                                const VerifyOptions &Opts = {},
                                PauliFamily Family = PauliFamily::Any,

@@ -586,6 +586,31 @@ TEST(DistLoopback, DistanceHandleApiMatchesLocalSearch) {
   }
 }
 
+TEST(DistLoopback, DistanceSearchMatchesLocalSearch) {
+  // One worker with one slot discharges each probe with the same per-cube
+  // logic as the local search (engine::CubeRun, slot 0's seed stream
+  // included), so a seeded search takes identical steps on both sides.
+  Fleet F(1, 1);
+  for (const StabilizerCode &Code : {makeHgp98(), makeTannerIISubstitute()})
+    for (uint64_t Seed : {0u, 7u}) {
+      const std::string &Name = Code.Name;
+      VerifyOptions VO;
+      VO.RandomSeed = Seed;
+      DistanceResult Local = computeDistance(Code, VO);
+      DistanceResult Remote =
+          computeDistance(Code, VO, PauliFamily::Any, &F.Coord);
+      ASSERT_TRUE(Local.Ok) << Name << " seed " << Seed;
+      ASSERT_TRUE(Remote.Ok) << Name << " seed " << Seed;
+      EXPECT_EQ(Local.Distance, Remote.Distance) << Name << " seed " << Seed;
+      EXPECT_EQ(Local.SolverCalls, Remote.SolverCalls)
+          << Name << " seed " << Seed;
+      EXPECT_EQ(Local.Stats.Conflicts, Remote.Stats.Conflicts)
+          << Name << " seed " << Seed;
+      EXPECT_EQ(Local.Stats.propagations(), Remote.Stats.propagations())
+          << Name << " seed " << Seed;
+    }
+}
+
 TEST(DistTcp, TwoWorkersOverRealSocketsMatchLocalVerdicts) {
   std::string Err;
   std::unique_ptr<Listener> L = listenTcp("127.0.0.1:0", Err);

@@ -180,6 +180,39 @@ TEST(CubeEngine, FirstSatCubeCancelsSiblings) {
   EXPECT_LT(ParOut.CubesSolved, ParOut.NumCubes);
 }
 
+TEST(CubeEngine, SequentialSolveMatchesItsBatchTwin) {
+  // Pigeonhole PHP(6,5): UNSAT after a seed-dependent search.
+  BoolContext Ctx;
+  std::vector<ExprRef> Cs;
+  std::vector<std::vector<ExprRef>> InHole(5);
+  for (int P = 0; P != 6; ++P) {
+    std::vector<ExprRef> Holes;
+    for (int H = 0; H != 5; ++H) {
+      Holes.push_back(
+          Ctx.mkVar("p" + std::to_string(P) + "h" + std::to_string(H)));
+      InHole[H].push_back(Holes.back());
+    }
+    Cs.push_back(Ctx.mkOr(std::move(Holes)));
+  }
+  for (std::vector<ExprRef> &Pigeons : InHole)
+    Cs.push_back(Ctx.mkAtMost(Pigeons, 1));
+  ExprRef Root = Ctx.mkAnd(std::move(Cs));
+  SolveOptions Opts;
+  Opts.RandomSeed = 7;
+
+  // Alone, the unsplit problem runs on a one-slot CubeRun on the calling
+  // thread; in a batch, on slot 0 of the pool. Both derive slot 0's seed
+  // stream, so both take the same search.
+  SolveOutcome Lone = smt::solveExpr(Ctx, Root, Opts);
+  const CubeProblem Batch[] = {{&Ctx, Root, Opts}, {&Ctx, Root, Opts}};
+  std::vector<SolveOutcome> Twins = CubeEngine(1).solveAll(Batch);
+  ASSERT_EQ(Lone.Result, sat::SolveResult::Unsat);
+  ASSERT_EQ(Twins[0].Result, sat::SolveResult::Unsat);
+  EXPECT_GT(Lone.Stats.Conflicts, 0u);
+  for (const sat::SolverStats::Field &F : sat::SolverStats::Fields)
+    EXPECT_EQ(Lone.Stats.*F.Member, Twins[0].Stats.*F.Member) << F.Name;
+}
+
 namespace {
 
 struct EngineCase {

@@ -246,7 +246,7 @@ TEST(CubeSolver, ParallelUnsatAgreesWithSequential) {
   Opts.SplitVars = Names;
   Opts.DistanceHint = 2;
   Opts.SplitThreshold = 6;
-  SolveOutcome Par = solveExprParallel(Ctx, Root, Opts);
+  SolveOutcome Par = solveExpr(Ctx, Root, Opts);
   SolveOutcome Seq = solveExpr(Ctx, Root);
   EXPECT_EQ(Seq.Result, SolveResult::Unsat);
   EXPECT_EQ(Par.Result, SolveResult::Unsat);
@@ -259,7 +259,7 @@ TEST(CubeSolver, ParallelUnsatAgreesWithSequential) {
   // With preprocessing off, the legacy pipeline must still agree — the
   // hard way, through the cube enumeration.
   Opts.Preprocess = false;
-  SolveOutcome Legacy = solveExprParallel(Ctx, Root, Opts);
+  SolveOutcome Legacy = solveExpr(Ctx, Root, Opts);
   EXPECT_EQ(Legacy.Result, SolveResult::Unsat);
   EXPECT_GT(Legacy.NumCubes, 1u);
 }
@@ -280,7 +280,7 @@ TEST(CubeSolver, ParallelSatFindsModel) {
   Opts.SplitVars = Names;
   Opts.DistanceHint = 2;
   Opts.SplitThreshold = 8;
-  SolveOutcome Out = solveExprParallel(Ctx, Root, Opts);
+  SolveOutcome Out = solveExpr(Ctx, Root, Opts);
   ASSERT_EQ(Out.Result, SolveResult::Sat);
   std::vector<bool> Assignment;
   for (int I = 0; I != 10; ++I)
@@ -304,6 +304,6 @@ TEST(CubeSolver, MaxOnesPruningStaysSound) {
   Opts.DistanceHint = 3;
   Opts.SplitThreshold = 10;
   Opts.MaxOnes = 1;
-  SolveOutcome Out = solveExprParallel(Ctx, Root, Opts);
+  SolveOutcome Out = solveExpr(Ctx, Root, Opts);
   EXPECT_EQ(Out.Result, SolveResult::Sat);
 }

@@ -38,6 +38,7 @@
 #include <fstream>
 #include <functional>
 #include <iomanip>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -464,43 +465,6 @@ void printRecordText(const RunRecord &R) {
   }
 }
 
-void printRecordJson(const RunRecord &R, bool Last) {
-  std::printf("  {\"code\": \"%s\", \"scenario\": \"%s\", \"basis\": \"%s\", "
-              "\"qubits\": %zu, ",
-              jsonEscape(R.Code).c_str(), jsonEscape(R.Scenario).c_str(),
-              R.Basis.c_str(), R.NumQubits);
-  if (!R.Result.StructuralOk) {
-    std::printf("\"error\": \"%s\"}%s\n", jsonEscape(R.Result.Error).c_str(),
-                Last ? "" : ",");
-    return;
-  }
-  std::printf("\"verified\": %s, \"aborted\": %s, \"seconds\": %.6f, "
-              "\"goals\": %zu, "
-              "\"cubes\": %llu, \"cubes_solved\": %llu, \"conflicts\": %llu, "
-              "\"decisions\": %llu, \"propagations\": %llu",
-              R.Result.Verified ? "true" : "false",
-              R.Result.Aborted ? "true" : "false", R.Result.Seconds,
-              R.Result.NumGoals,
-              static_cast<unsigned long long>(R.Result.NumCubes),
-              static_cast<unsigned long long>(R.Result.CubesSolved),
-              static_cast<unsigned long long>(R.Result.Stats.Conflicts),
-              static_cast<unsigned long long>(R.Result.Stats.Decisions),
-              static_cast<unsigned long long>(R.Result.Stats.propagations()));
-  if (!R.Result.Verified && !R.Result.CounterExample.empty()) {
-    std::printf(", \"counterexample\": {");
-    bool First = true;
-    for (const auto &[Name, Value] : R.Result.CounterExample) {
-      if (!Value)
-        continue;
-      std::printf("%s\"%s\": true", First ? "" : ", ",
-                  jsonEscape(Name).c_str());
-      First = false;
-    }
-    std::printf("}");
-  }
-  std::printf("}%s\n", Last ? "" : ",");
-}
-
 /// Streams the comma-separated `"key": value` members of one JSON object;
 /// the caller writes the braces.
 class JsonMembers {
@@ -627,6 +591,17 @@ void writeDistanceRecord(JsonMembers &M, const DistanceRecord &R) {
       .add("xor_rows", D.XorRows)
       .add("cnf_vars", D.CnfVars)
       .add("cnf_clauses", D.CnfClauses);
+}
+
+/// Prints one --json stdout record, `  {members}`, preceded by a record
+/// separator unless it is the first; \p Members writes the members.
+template <typename Fn>
+void printJsonRecord(bool First, Fn &&Members) {
+  std::cout << std::fixed << std::setprecision(6)
+            << (First ? "  {" : ",\n  {");
+  JsonMembers M(std::cout);
+  Members(M);
+  std::cout << '}';
 }
 
 /// Publishes end-of-run solver totals into the metrics registry: one
@@ -816,8 +791,19 @@ int runVerify(const CliOptions &Cli) {
     std::printf("{\"seed\": %llu, \"results\": [\n",
                 static_cast<unsigned long long>(Cli.Seed));
     for (size_t I = 0; I != Records.size(); ++I)
-      printRecordJson(Records[I], I + 1 == Records.size());
-    std::printf("]}\n");
+      printJsonRecord(I == 0, [&](JsonMembers &M) {
+        const VerificationResult &V = Records[I].Result;
+        writeRunRecord(M, Records[I]);
+        if (V.Verified || V.CounterExample.empty())
+          return;
+        std::ostream &Out = M.key("counterexample") << '{';
+        JsonMembers Set(Out);
+        for (const auto &[Name, Value] : V.CounterExample)
+          if (Value)
+            Set.add(jsonEscape(Name).c_str(), true);
+        Out << '}';
+      });
+    std::printf("\n]}\n");
   } else {
     for (const RunRecord &R : Records)
       printRecordText(R);
@@ -930,22 +916,15 @@ int runDistance(const CliOptions &Cli) {
     }
     AnyMismatch |= Mismatch;
     if (Cli.Json) {
-      std::printf(
-          "%s  {\"code\": \"%s\", \"ok\": %s, \"aborted\": %s, "
-          "\"distance\": %zu, \"documented\": %zu, \"matches\": %s, "
-          "\"solver_calls\": %llu, \"conflicts\": %llu, \"seconds\": %.6f",
-          I ? ",\n" : "", jsonEscape(CodeName).c_str(), R.Ok ? "true" : "false",
-          R.Aborted ? "true" : "false", R.Distance, Code->Distance,
-          // A failed or aborted search agrees with nothing.
-          R.Ok && !Mismatch ? "true" : "false",
-          static_cast<unsigned long long>(R.SolverCalls),
-          static_cast<unsigned long long>(R.Stats.Conflicts), R.Seconds);
-      if (!FamilyMatch.empty())
-        std::printf(", \"documented_family\": \"%s\"", FamilyMatch.c_str());
-      if (R.Witness)
-        std::printf(", \"witness\": \"%s\"",
-                    jsonEscape(R.Witness->toString()).c_str());
-      std::printf("}");
+      printJsonRecord(I == 0, [&](JsonMembers &M) {
+        writeDistanceRecord(M, Records.back());
+        // A failed or aborted search agrees with nothing.
+        M.add("documented", Code->Distance).add("matches", R.Ok && !Mismatch);
+        if (!FamilyMatch.empty())
+          M.add("documented_family", FamilyMatch);
+        if (R.Witness)
+          M.add("witness", R.Witness->toString());
+      });
     } else if (!R.Ok && !R.Aborted) {
       std::printf("%-20s ERROR: %s\n", CodeName.c_str(), R.Error.c_str());
     } else {
