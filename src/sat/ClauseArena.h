@@ -25,7 +25,9 @@
 /// clause's new home through the Reloced flag + a forwarding offset
 /// stashed in the activity slot. Propagation touching clause literals
 /// through one flat array — instead of a per-clause heap vector — is the
-/// point: the inner propagate() loop is ~75% of cube-discharge time.
+/// point: propagate(), watch moves included, is 65-70% of the self time of
+/// a surface9 t=4 cube-mode run (gprof flat profile, Release -pg build
+/// of perfbench's prove_s9t4_j1).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -128,7 +128,7 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
   bool Parity = Row.get(NC);
   size_t NumUnknown = 0;
   for (size_t C = Row.findFirst(); C < NC; C = Row.findNext(C + 1)) {
-    LBool A = S.Assigns[VarOfCol[C]];
+    LBool A = S.varValue(VarOfCol[C]);
     if (A == LBool::Undef) {
       if (++NumUnknown > 1)
         return Solver::NoReason; // nothing to learn from this row yet
@@ -151,7 +151,7 @@ int32_t GaussEngine::processRow(Solver &S, const BitVector &Row) {
       continue;
     Var V = VarOfCol[C];
     if (S.Level[V] > 0)
-      Lits.push_back(Lit(V, S.Assigns[V] == LBool::True));
+      Lits.push_back(Lit(V, S.varValue(V) == LBool::True));
   }
 
   if (NumUnknown == 0) {
@@ -206,7 +206,7 @@ int32_t GaussEngine::deepCheck(Solver &S) {
   for (size_t I = 0; I != M.size(); ++I) {
     size_t P = NC;
     for (size_t C = M[I].findFirst(); C < NC; C = M[I].findNext(C + 1))
-      if (S.Assigns[VarOfCol[C]] == LBool::Undef) {
+      if (S.varValue(VarOfCol[C]) == LBool::Undef) {
         P = C;
         break;
       }

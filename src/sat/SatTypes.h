@@ -51,13 +51,6 @@ inline Lit mkLit(Var V) { return Lit(V, false); }
 /// Three-valued assignment.
 enum class LBool : uint8_t { False = 0, True = 1, Undef = 2 };
 
-inline LBool lboolOf(bool B) { return B ? LBool::True : LBool::False; }
-inline LBool negate(LBool B) {
-  if (B == LBool::Undef)
-    return B;
-  return B == LBool::True ? LBool::False : LBool::True;
-}
-
 } // namespace veriqec::sat
 
 #endif // VERIQEC_SAT_SATTYPES_H

@@ -47,8 +47,9 @@ void Solver::setDefaultGarbageFraction(double Frac) {
 Solver::Solver() : GarbageFrac(DefaultGarbageFrac) {}
 
 Var Solver::newVar() {
-  Var V = static_cast<Var>(Assigns.size());
-  Assigns.push_back(LBool::Undef);
+  Var V = static_cast<Var>(numVars());
+  Values.push_back(LBool::Undef);
+  Values.push_back(LBool::Undef);
   Model.push_back(LBool::Undef);
   SavedPhase.push_back(false);
   Reason.push_back(NoReason);
@@ -201,42 +202,34 @@ void Solver::attachClause(ClauseRef Ref) {
   pushWatch((~C[1]).Code, {Ref, C[0]});
 }
 
-void Solver::enqueue(Lit L, ClauseRef From) {
-  assert(valueOf(L) == LBool::Undef && "enqueueing an assigned literal");
-  // analyze(), litRedundant() and reduceDB's locked() test all read the
-  // implied literal of a reason from C[0].
-  assert((From == NoReason || Arena[From][0] == L) &&
-         "reason clause does not imply its literal at C[0]");
-  Assigns[L.var()] = lboolOf(!L.negated());
-  Reason[L.var()] = From;
-  Level[L.var()] = decisionLevel();
-  TrailPosOf[L.var()] = static_cast<uint32_t>(Trail.size());
-  Trail.push_back(L);
-}
-
 ClauseRef Solver::propagate() {
-  while (PropagateHead < Trail.size()) {
+  ClauseRef Confl = NoReason;
+  while (Confl == NoReason && PropagateHead < Trail.size()) {
     Lit P = Trail[PropagateHead++];
+    Lit NotP = ~P;
     std::vector<Watcher> &WatchList = Watches[P.Code];
-    size_t KeepIdx = 0;
-    for (size_t I = 0; I != WatchList.size(); ++I) {
-      Watcher W = WatchList[I];
+    // Raw cursors, as in MiniSat: I reads, J writes the kept watchers.
+    // Every watch move below appends to the list of ~C[1] for a C[1]
+    // that is not false, while NotP is false, so ~C[1] != P: the scan
+    // never appends to the list it walks, and nothing reallocates it.
+    Watcher *I = WatchList.data(), *J = I;
+    Watcher *const End = I + WatchList.size();
+    while (I != End) {
+      Watcher W = *I++;
       // Fast path: the blocker literal already satisfies the clause.
-      if (valueOf(W.Blocker) == LBool::True) {
-        WatchList[KeepIdx++] = W;
+      LBool BlockerValue = valueOf(W.Blocker);
+      if (BlockerValue == LBool::True) {
+        *J++ = W;
         continue;
       }
       if (isBinaryMark(W.Ref)) {
         // Binary clause, resolved from the watcher alone (the clause
         // memory is only touched when it actually implies something).
-        WatchList[KeepIdx++] = W;
+        *J++ = W;
         ClauseRef Real = fromBinaryMark(W.Ref);
-        if (valueOf(W.Blocker) == LBool::False) {
-          for (size_t J = I + 1; J != WatchList.size(); ++J)
-            WatchList[KeepIdx++] = WatchList[J];
-          WatchList.resize(KeepIdx);
-          PropagateHead = Trail.size();
-          return Real;
+        if (BlockerValue == LBool::False) {
+          Confl = Real;
+          break;
         }
         // Reason clauses keep their implied literal at position 0
         // (analyze() and litRedundant() rely on it).
@@ -250,44 +243,48 @@ ClauseRef Solver::propagate() {
       Clause C = Arena[W.Ref];
       assert(!C.deleted() && "deleted clause left in a watch list");
       // Normalize so that the false literal ~P is at position 1.
-      Lit NotP = ~P;
       if (C[0] == NotP)
         std::swap(C[0], C[1]);
       assert(C[1] == NotP && "watch invariant broken");
-      // If the other watched literal is true, keep watching.
-      if (valueOf(C[0]) == LBool::True) {
-        WatchList[KeepIdx++] = {W.Ref, C[0]};
+      // If the other watched literal is true, keep watching. It is known
+      // not to be true when it is the blocker.
+      Lit First = C[0];
+      if (First != W.Blocker && valueOf(First) == LBool::True) {
+        *J++ = {W.Ref, First};
         continue;
       }
-      // Look for a new literal to watch.
-      bool FoundWatch = false;
-      for (size_t K = 2; K != C.size(); ++K) {
-        if (valueOf(C[K]) != LBool::False) {
-          std::swap(C[1], C[K]);
-          pushWatch((~C[1]).Code, {W.Ref, C[0]});
-          FoundWatch = true;
-          break;
-        }
-      }
-      if (FoundWatch)
+      // Look for a new literal to watch; it trades places with C[1].
+      Lit *Lits = C.lits().data();
+      Lit *const LitsEnd = Lits + C.size();
+      Lit *K = Lits + 2;
+      while (K != LitsEnd && valueOf(*K) == LBool::False)
+        ++K;
+      if (K != LitsEnd) {
+        Lits[1] = *K;
+        *K = NotP;
+        assert(~Lits[1] != P && "watch move into the list being scanned");
+        pushWatch((~Lits[1]).Code, {W.Ref, First});
         continue;
-      // Clause is unit or conflicting.
-      if (valueOf(C[0]) == LBool::False) {
-        // Conflict: restore the remaining watchers and report.
-        WatchList[KeepIdx++] = W;
-        for (size_t J = I + 1; J != WatchList.size(); ++J)
-          WatchList[KeepIdx++] = WatchList[J];
-        WatchList.resize(KeepIdx);
-        PropagateHead = Trail.size();
-        return W.Ref;
+      }
+      // Clause is unit or conflicting; either way it stays watched here
+      // under its old blocker (watch order steers the search).
+      *J++ = W;
+      if (valueOf(First) == LBool::False) {
+        Confl = W.Ref;
+        break;
       }
       ++Stats.LongPropagations;
-      WatchList[KeepIdx++] = W;
-      enqueue(C[0], W.Ref);
+      enqueue(First, W.Ref);
     }
-    WatchList.resize(KeepIdx);
+    if (Confl != NoReason) {
+      // Keep the watchers the conflict left unscanned.
+      while (I != End)
+        *J++ = *I++;
+      PropagateHead = Trail.size();
+    }
+    WatchList.resize(static_cast<size_t>(J - WatchList.data()));
   }
-  return NoReason;
+  return Confl;
 }
 
 void Solver::bumpVar(Var V) {
@@ -317,8 +314,7 @@ void Solver::decayActivities() {
   ClauseInc /= ClauseDecay;
 }
 
-void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
-                     int32_t &BtLevel) {
+int32_t Solver::analyze(ClauseRef Confl) {
   Learnt.clear();
   Learnt.push_back(Lit::undef()); // slot for the asserting literal
   HintSteps.clear();
@@ -361,11 +357,14 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
 
   // Clause minimization: drop literals implied by the rest of the clause.
   // Remember every marked literal so the marks can be cleared even for
-  // literals that minimization removes from the clause.
-  std::vector<Lit> Marked(Learnt.begin() + 1, Learnt.end());
+  // literals that minimization removes from the clause; litRedundant()
+  // appends the marks it keeps.
+  AnalyzeToClear.clear();
   uint32_t AbstractLevels = 0;
-  for (size_t I = 1; I != Learnt.size(); ++I)
+  for (size_t I = 1; I != Learnt.size(); ++I) {
+    AnalyzeToClear.push_back(Learnt[I].var());
     AbstractLevels |= 1u << (Level[Learnt[I].var()] & 31);
+  }
   size_t KeepIdx = 1;
   for (size_t I = 1; I != Learnt.size(); ++I)
     if (Reason[Learnt[I].var()] == NoReason ||
@@ -390,7 +389,7 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
     finalizeHintIds(HintIds);
 
   // Find the backtrack level: the second-highest level in the clause.
-  BtLevel = 0;
+  int32_t BtLevel = 0;
   if (Learnt.size() > 1) {
     size_t MaxIdx = 1;
     for (size_t I = 2; I != Learnt.size(); ++I)
@@ -402,44 +401,49 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
 
   // Clear the seen marks we still own (including minimized-away ones).
   Seen[Learnt[0].var()] = 0;
-  for (Lit L : Marked)
-    Seen[L.var()] = 0;
+  for (Var V : AnalyzeToClear)
+    Seen[V] = 0;
+  return BtLevel;
 }
 
 bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
   // DFS over the implication graph: L is redundant if every path to a
-  // decision passes through already-seen literals.
+  // decision passes through already-seen literals. When the search
+  // succeeds, every literal it reached is redundant too: those marks
+  // stay until analyze() ends, so later calls stop at them. Marks only
+  // accumulate within one analyze(), so a literal redundant once stays
+  // redundant, and the verdicts are those of an unmemoized search. The
+  // proof hints of a removed literal are the reasons its search crossed;
+  // the cone below a kept mark was cited by the call that proved it, so
+  // the de-duplicated hint list is unchanged too. A failed search rolls
+  // its marks back.
+  assert(Reason[L.var()] != NoReason && "minimizing a decision");
   RedundantSteps.clear();
-  std::vector<Lit> Stack = {L};
-  std::vector<Var> ToClear;
-  while (!Stack.empty()) {
-    Lit Cur = Stack.back();
-    Stack.pop_back();
-    assert(Reason[Cur.var()] != NoReason);
+  RedundantStack.clear();
+  RedundantStack.push_back(L);
+  size_t Top = AnalyzeToClear.size();
+  while (!RedundantStack.empty()) {
+    Lit Cur = RedundantStack.back();
+    RedundantStack.pop_back();
     if (ProofSink)
       RedundantSteps.emplace_back(TrailPosOf[Cur.var()], Reason[Cur.var()]);
     const Clause C = Arena[Reason[Cur.var()]];
     for (size_t I = 1; I != C.size(); ++I) {
-      Lit Q = C[I];
-      if (Seen[Q.var()] || Level[Q.var()] == 0)
+      Var V = C[I].var();
+      if (Seen[V] || Level[V] == 0)
         continue;
-      if (Reason[Q.var()] == NoReason ||
-          ((1u << (Level[Q.var()] & 31)) & AbstractLevels) == 0) {
-        for (Var V : ToClear)
-          Seen[V] = 0;
+      if (Reason[V] == NoReason ||
+          ((1u << (Level[V] & 31)) & AbstractLevels) == 0) {
+        for (size_t J = Top; J != AnalyzeToClear.size(); ++J)
+          Seen[AnalyzeToClear[J]] = 0;
+        AnalyzeToClear.resize(Top);
         return false;
       }
-      Seen[Q.var()] = 1;
-      ToClear.push_back(Q.var());
-      Stack.push_back(Q);
+      Seen[V] = 1;
+      AnalyzeToClear.push_back(V);
+      RedundantStack.push_back(C[I]);
     }
   }
-  // Keep the marks: they stand for "known redundant" during this analyze()
-  // call and are cleared with the learnt clause's marks... except these
-  // variables are not in the clause, so clear them here but remember the
-  // redundancy result.
-  for (Var V : ToClear)
-    Seen[V] = 0;
   return true;
 }
 
@@ -448,9 +452,10 @@ void Solver::backtrack(int32_t ToLevel) {
     return;
   size_t Bound = static_cast<size_t>(TrailLim[ToLevel]);
   for (size_t I = Trail.size(); I-- > Bound;) {
-    Var V = Trail[I].var();
-    SavedPhase[V] = Assigns[V] == LBool::True;
-    Assigns[V] = LBool::Undef;
+    Lit L = Trail[I];
+    Var V = L.var();
+    SavedPhase[V] = varValue(V) == LBool::True;
+    Values[L.Code] = Values[(~L).Code] = LBool::Undef;
     Reason[V] = NoReason;
     if (HeapPos[V] < 0)
       heapInsert(V);
@@ -467,18 +472,18 @@ Lit Solver::pickBranchLit() {
   // later pop sees it assigned and skips it.
   if (RandomizeBranching && !Heap.empty() && TieRng.nextBelow(50) == 0) {
     Var V = Heap[TieRng.nextBelow(Heap.size())];
-    if (Assigns[V] == LBool::Undef)
+    if (varValue(V) == LBool::Undef)
       return Lit(V, TieRng.nextBool());
   }
   while (!Heap.empty()) {
     Var V = heapPop();
-    if (Assigns[V] == LBool::Undef)
+    if (varValue(V) == LBool::Undef)
       return Lit(V, !SavedPhase[V]);
   }
   return Lit::undef();
 }
 
-ClauseRef Solver::learnClause(std::vector<Lit> Lits) {
+ClauseRef Solver::learnClause(std::span<const Lit> Lits) {
   if (Lits.size() == 1)
     return NoReason; // handled by caller via enqueue at level 0
   ClauseRef Ref = allocClause(Lits, /*Learned=*/true);
@@ -629,7 +634,17 @@ std::string Solver::checkWatchInvariants() const {
         return Err;
   if (Listed != WatchedOn.size())
     return "a watched clause is in neither clause list";
+  // Both polarities of a variable are unassigned, or opposite.
+  for (Var V = 0; V != static_cast<Var>(numVars()); ++V) {
+    LBool Pos = valueOf(mkLit(V)), Neg = valueOf(~mkLit(V));
+    if ((Pos == LBool::Undef) != (Neg == LBool::Undef) ||
+        (Pos != LBool::Undef && Pos == Neg))
+      return "the two polarities of variable " + std::to_string(V) +
+             " disagree";
+  }
   for (Lit L : Trail) {
+    if (valueOf(L) != LBool::True)
+      return "trail literal " + std::to_string(L.Code) + " is not true";
     ClauseRef R = Reason[L.var()];
     if (R == NoReason)
       continue;
@@ -821,7 +836,6 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
   uint64_t RestartIdx = 1;
   uint64_t ConflictsUntilRestart = 100 * lubySequence(RestartIdx);
   uint64_t ConflictsAtStart = Stats.Conflicts;
-  std::vector<Lit> Learnt;
 
   while (true) {
     if (AbortFlag && AbortFlag->load(std::memory_order_relaxed))
@@ -848,8 +862,7 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
         OkState = false;
         return SolveResult::Unsat;
       }
-      int32_t BtLevel = 0;
-      analyze(Confl, Learnt, BtLevel);
+      int32_t BtLevel = analyze(Confl);
       if (SharedPool && Learnt.size() <= PoolMaxShareLen)
         SharedPool->publish(PoolOwnerId, Learnt);
       // Classic full backjump to BtLevel, even below the assumption
@@ -876,9 +889,8 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
         if (valueOf(Learnt[0]) == LBool::Undef)
           enqueue(Learnt[0], NoReason);
       } else {
-        ClauseRef Ref = learnClause(std::move(Learnt));
+        ClauseRef Ref = learnClause(Learnt);
         enqueue(Arena[Ref][0], Ref);
-        Learnt = {};
       }
       decayActivities();
 
@@ -918,7 +930,8 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
     Lit Next = pickBranchLit();
     if (Next.isUndef()) {
       // Full model found.
-      Model = Assigns;
+      for (size_t V = 0; V != Model.size(); ++V)
+        Model[V] = varValue(static_cast<Var>(V));
       backtrack(0);
       return SolveResult::Sat;
     }

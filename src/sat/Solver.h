@@ -219,7 +219,7 @@ public:
   Var newVar();
 
   /// Number of variables created so far.
-  size_t numVars() const { return Assigns.size(); }
+  size_t numVars() const { return Values.size() / 2; }
 
   /// Adds a clause. Returns false if the formula became trivially
   /// unsatisfiable (empty clause after simplification at level 0).
@@ -358,8 +358,10 @@ public:
   /// WatchUnsorted is in watchBefore() order, every live clause with any
   /// watcher is watched exactly on ~C[0] and ~C[1], and no clause that
   /// is the reason of a trail literal was deleted (unit and empty XOR
-  /// justifications, tombstoned at birth, excepted). O(formula); returns
-  /// a description of the first violation, or "" when all hold.
+  /// justifications, tombstoned at birth, excepted). It also audits the
+  /// literal-indexed value array: both polarities of every variable
+  /// agree, and every trail literal reads True. O(formula); returns a
+  /// description of the first violation, or "" when all hold.
   std::string checkWatchInvariants() const;
 
 protected:
@@ -433,8 +435,11 @@ private:
   /// since the last reduction; reduceDB sorts exactly the flagged lists.
   /// An unflagged list is always in order.
   std::vector<uint8_t> WatchUnsorted; // indexed by Lit.Code
-  std::vector<LBool> Assigns;                // indexed by Var
-  std::vector<LBool> Model;
+  /// Indexed by Lit.Code: enqueue() and backtrack() write both
+  /// polarities of a variable together, so valueOf() is one load with no
+  /// polarity fix-up.
+  std::vector<LBool> Values;
+  std::vector<LBool> Model; // indexed by Var
   std::vector<bool> SavedPhase;
   std::vector<ClauseRef> Reason;
   std::vector<int32_t> Level;
@@ -530,8 +535,17 @@ private:
     }
   }
 
-  // Scratch used by conflict analysis.
+  // Scratch used by conflict analysis, kept as members so a conflict
+  // reuses their capacity instead of allocating. Seen marks variables;
+  // AnalyzeToClear lists every mark analyze() must drop when it ends
+  // (the learnt clause's literals, minimized-away ones included, plus
+  // the literals litRedundant() proved redundant — MiniSat's
+  // analyze_toclear); RedundantStack is litRedundant()'s DFS stack.
   std::vector<uint8_t> Seen;
+  std::vector<Var> AnalyzeToClear;
+  std::vector<Lit> RedundantStack;
+  /// The clause analyze() derives, reused across conflicts.
+  std::vector<Lit> Learnt;
 
   std::vector<Lit> ConflictCore;
 
@@ -551,16 +565,27 @@ private:
   std::shared_ptr<const std::vector<uint32_t>> RetentionView;
 
   // -- Core algorithms -----------------------------------------------------
-  LBool valueOf(Lit L) const {
-    LBool V = Assigns[L.var()];
-    return L.negated() ? negate(V) : V;
-  }
+  LBool valueOf(Lit L) const { return Values[L.Code]; }
+  /// The value of \p V, i.e. of its positive literal.
+  LBool varValue(Var V) const { return Values[mkLit(V).Code]; }
   int32_t decisionLevel() const {
     return static_cast<int32_t>(TrailLim.size());
   }
 
   /// Assigns \p L with reason \p From at the current decision level.
-  void enqueue(Lit L, ClauseRef From);
+  void enqueue(Lit L, ClauseRef From) {
+    assert(valueOf(L) == LBool::Undef && "enqueueing an assigned literal");
+    // analyze(), litRedundant() and reduceDB's locked() test all read the
+    // implied literal of a reason from C[0].
+    assert((From == NoReason || Arena[From][0] == L) &&
+           "reason clause does not imply its literal at C[0]");
+    Values[L.Code] = LBool::True;
+    Values[(~L).Code] = LBool::False;
+    Reason[L.var()] = From;
+    Level[L.var()] = decisionLevel();
+    TrailPosOf[L.var()] = static_cast<uint32_t>(Trail.size());
+    Trail.push_back(L);
+  }
   ClauseRef propagate();
   /// CNF propagation and XOR propagation to their joint fixpoint.
   ClauseRef propagateFixpoint();
@@ -568,7 +593,10 @@ private:
   /// justification for conflict analysis. Never watched (sizes < 2 are
   /// tombstoned at birth, so they are never reduceDB candidates either).
   ClauseRef materializeXorClause(std::vector<Lit> Lits);
-  void analyze(ClauseRef Confl, std::vector<Lit> &Learnt, int32_t &BtLevel);
+  /// Derives the minimized first-UIP clause of \p Confl into Learnt
+  /// (asserting literal first, a literal of the backjump level second)
+  /// and returns the backjump level.
+  int32_t analyze(ClauseRef Confl);
   void analyzeFinal(Lit Failed);
   bool litRedundant(Lit L, uint32_t AbstractLevels);
   void backtrack(int32_t ToLevel);
@@ -607,7 +635,7 @@ private:
     Lit Head = Arena[Ref][0];
     return Reason[Head.var()] == Ref && valueOf(Head) == LBool::True;
   }
-  ClauseRef learnClause(std::vector<Lit> Lits);
+  ClauseRef learnClause(std::span<const Lit> Lits);
   void reduceDB();
 
   /// Allocates into the arena and keeps the peak-footprint stat current.

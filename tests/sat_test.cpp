@@ -630,3 +630,80 @@ TEST(SolverStats, SumAndDeltaCoverEveryField) {
   }
   EXPECT_EQ(Sum.propagations(), A.propagations() + B.propagations());
 }
+
+TEST(Solver, InnerLoopsKeepTheSearch) {
+  // Propagation, conflict analysis and minimization can be made cheaper
+  // without changing one search decision, and any change that does move
+  // the search (a different watcher write-back, a different minimized
+  // clause) shows up in these counters before it shows up anywhere else.
+  // The pinned values were recorded from the solver as it was before its
+  // inner loops moved to literal-indexed values, a raw-cursor watch scan
+  // and member-stack minimization; they must hold with and without a
+  // proof sink (logging never steers the search). A small learnt cap
+  // puts reduceDB and arena compaction, which reorder watch lists, on
+  // the pinned path.
+  struct Pinned {
+    uint64_t Fields[std::size(SolverStats::Fields)];
+    size_t ProofBytes;
+  };
+
+  // PHP(7,6): pure CNF, binary-watcher heavy, UNSAT.
+  const Pinned Php = {{2408, 18468, 9687, 2018, 2014, 13, 0, 0, 0, 34560,
+                       104648, 13},
+                      183531};
+  // tanner2's distance probes with native XOR: existence, below the
+  // distance (UNSAT), at it.
+  const Pinned Tanner = {{4958, 399958, 264763, 2600, 2598, 17, 12350, 959,
+                          527, 734704, 952360, 6},
+                         2146749};
+
+  auto check = [](const Solver &S, bool Proof, size_t ProofBytes,
+                  const Pinned &Want, const char *Name) {
+    for (size_t I = 0; I != std::size(SolverStats::Fields); ++I) {
+      const SolverStats::Field &F = SolverStats::Fields[I];
+      EXPECT_EQ(S.stats().*F.Member, Want.Fields[I])
+          << Name << " proof " << Proof << ": " << F.Name;
+    }
+    EXPECT_EQ(ProofBytes, Proof ? Want.ProofBytes : 0) << Name;
+  };
+
+  for (bool Proof : {false, true}) {
+    size_t NumVars = 0;
+    std::vector<std::vector<Lit>> Clauses = pigeonholeClauses(7, 6, NumVars);
+    Solver S;
+    proof::SlotProofLog Log;
+    if (Proof)
+      S.setProofSink(&Log);
+    S.setMaxLearned(64);
+    S.setGarbageFraction(0.2);
+    for (size_t V = 0; V != NumVars; ++V)
+      S.newVar();
+    for (const auto &C : Clauses)
+      ASSERT_TRUE(S.addClause(C));
+    EXPECT_EQ(S.solve(), SolveResult::Unsat);
+    check(S, Proof, Log.drain().size(), Php, "php(7,6)");
+  }
+
+  StabilizerCode Code = makeTannerIISubstitute();
+  smt::VerificationProblem Problem = distanceProblem(Code);
+  ASSERT_FALSE(Problem.XorRows.empty());
+  for (bool Proof : {false, true}) {
+    Solver S;
+    Problem.loadInto(S);
+    proof::SlotProofLog Log;
+    if (Proof)
+      S.setProofSink(&Log);
+    S.setMaxLearned(64);
+    S.setGarbageFraction(0.2);
+    std::vector<SolveResult> Verdicts;
+    for (uint32_t MaxW : {static_cast<uint32_t>(Code.NumQubits), 3u, 4u}) {
+      std::vector<Lit> Assumptions;
+      Problem.appendWeightAssumptions(MaxW, Assumptions, 1);
+      Verdicts.push_back(S.solve(Assumptions));
+    }
+    EXPECT_EQ(Verdicts, (std::vector<SolveResult>{SolveResult::Sat,
+                                                  SolveResult::Unsat,
+                                                  SolveResult::Sat}));
+    check(S, Proof, Log.drain().size(), Tanner, "tanner2");
+  }
+}
